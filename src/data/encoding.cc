@@ -159,7 +159,7 @@ Dataset BinaryEncoder::Encode(const Dataset& data) const {
   Dataset out(binary_schema_, data.num_rows());
   for (int a = 0; a < original_.num_attrs(); ++a) {
     int nb = bits_[a];
-    for (int r = 0; r < data.num_rows(); ++r) {
+    for (int64_t r = 0; r < data.num_rows(); ++r) {
       int code = EncodeValue(a, data.at(r, a));
       for (int b = 0; b < nb; ++b) {
         // Bit 0 of the schema is the most significant bit of the code.
@@ -171,26 +171,27 @@ Dataset BinaryEncoder::Encode(const Dataset& data) const {
   return out;
 }
 
+void BinaryEncoder::DecodeColumn(const Dataset& binary, int attr,
+                                 std::span<Value> out) const {
+  const int nb = bits_[attr];
+  const int first = offsets_[attr];
+  for (size_t r = 0; r < out.size(); ++r) {
+    int code = 0;
+    for (int b = 0; b < nb; ++b) {
+      code = (code << 1) | binary.at(static_cast<int64_t>(r), first + b);
+    }
+    out[r] = DecodeValue(attr, code);
+  }
+}
+
 Dataset BinaryEncoder::Decode(const Dataset& binary) const {
   PB_THROW_IF(binary.schema().num_attrs() != binary_schema_.num_attrs(),
               "binary dataset width mismatch");
-  // Columnar assembly (no per-cell Set with its per-cell snapshot
-  // invalidation): this decode runs per streamed chunk when serving
-  // Binary/Gray-encoded models.
-  const int n = binary.num_rows();
   std::vector<std::vector<Value>> columns(
       static_cast<size_t>(original_.num_attrs()));
   for (int a = 0; a < original_.num_attrs(); ++a) {
-    const int nb = bits_[a];
-    std::vector<Value>& out = columns[static_cast<size_t>(a)];
-    out.resize(static_cast<size_t>(n));
-    for (int r = 0; r < n; ++r) {
-      int code = 0;
-      for (int b = 0; b < nb; ++b) {
-        code = (code << 1) | binary.at(r, offsets_[a] + b);
-      }
-      out[static_cast<size_t>(r)] = DecodeValue(a, code);
-    }
+    columns[a].resize(static_cast<size_t>(binary.num_rows()));
+    DecodeColumn(binary, a, columns[a]);
   }
   return Dataset::FromColumns(original_, std::move(columns));
 }

@@ -17,6 +17,7 @@
 #define PRIVBAYES_DATA_ENCODING_H_
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "data/dataset.h"
@@ -54,6 +55,12 @@ class BinaryEncoder {
   /// because ceil(log2 ℓ) bits can express up to 2^bits > ℓ values — are
   /// clamped to ℓ − 1.
   Dataset Decode(const Dataset& binary) const;
+
+  /// The column routine behind Decode: writes original attribute `attr` of
+  /// rows [0, out.size()) of `binary` into `out`. The serving cursor calls
+  /// it per projected column into buffers it reuses across chunks.
+  void DecodeColumn(const Dataset& binary, int attr,
+                    std::span<Value> out) const;
 
   /// Code (bit pattern, MSB-first packed into an int) of value `v` of
   /// attribute `attr`.

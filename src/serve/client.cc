@@ -340,14 +340,9 @@ ServeClient::SampleReply ServeClient::Sample(const std::string& model,
         }
         throw ServeError(ClassifyServerMessage(message), "server: " + message);
       }
-      std::vector<std::string> fields = SplitCsvLine(line);
-      if (static_cast<int>(fields.size()) != cols) {
+      std::vector<Value> row(static_cast<size_t>(cols));
+      if (!ParseCsvRow(line, row)) {
         throw ServeError(ServeErrorCode::kProtocol, "bad SAMPLE CSV row");
-      }
-      std::vector<Value> row(fields.size());
-      for (size_t c = 0; c < fields.size(); ++c) {
-        row[c] =
-            static_cast<Value>(std::strtoul(fields[c].c_str(), nullptr, 10));
       }
       reply.rows.push_back(std::move(row));
     }

@@ -34,8 +34,7 @@ ChunkedSampler::ChunkedSampler(const SamplingService* service,
 
   // Resolve the projection (empty = identity) against the original schema.
   keep_ = request.columns;
-  identity_ = keep_.empty();
-  if (identity_) {
+  if (keep_.empty()) {
     keep_.resize(static_cast<size_t>(original.num_attrs()));
     for (size_t i = 0; i < keep_.size(); ++i) keep_[i] = static_cast<int>(i);
   } else {
@@ -51,6 +50,7 @@ ChunkedSampler::ChunkedSampler(const SamplingService* service,
   kept_attrs.reserve(keep_.size());
   for (int c : keep_) kept_attrs.push_back(original.attr(c));
   out_schema_ = Schema(std::move(kept_attrs));
+  if (model.encoder) decoded_.resize(keep_.size());
 
   // The same base-seed derivation as NetworkSampler::Sample(n, Rng(seed)),
   // so a served batch is bit-identical to SampleSyntheticData with
@@ -96,23 +96,30 @@ bool ChunkedSampler::Step(RowSink& sink) {
     const int rows_this = static_cast<int>(
         std::min<int64_t>(service_->chunk_rows_, num_rows_ - row_));
     const int64_t first_shard = row_ / NetworkSampler::kShardRows;
-    const PrivBayesModel& model = handle_->model();
     StageTimer sample_timer(span_, Stage::kSample);
-    Dataset encoded = handle_->sampler().SampleChunk(
+    const Dataset encoded = handle_->sampler().SampleChunk(
         base_seed_, first_shard, rows_this, ticket_->admitted());
-    Dataset decoded = DecodeToOriginal(encoded, model.original_schema,
-                                       model.encoding, model.encoder.get());
-    Dataset projected = [&] {
-      if (identity_) return std::move(decoded);
-      std::vector<std::vector<Value>> cols;
-      cols.reserve(keep_.size());
-      for (int c : keep_) cols.push_back(decoded.column(c));
-      return Dataset::FromColumns(out_schema_, std::move(cols));
-    }();
+    // Decode and project as views of `encoded`: hierarchical and vanilla
+    // models sample the original cell values already (decode only relabels
+    // the schema, which out_schema_ holds), so only Binary/Gray decode, and
+    // only the kept columns, into the per-cursor buffers.
+    const BinaryEncoder* encoder = handle_->model().encoder.get();
+    ColumnBatch chunk;
+    chunk.num_rows = rows_this;
+    chunk.columns.reserve(keep_.size());
+    for (size_t i = 0; i < keep_.size(); ++i) {
+      if (encoder == nullptr) {
+        chunk.columns.emplace_back(encoded.column(keep_[i]));
+        continue;
+      }
+      decoded_[i].resize(static_cast<size_t>(rows_this));
+      encoder->DecodeColumn(encoded, keep_[i], decoded_[i]);
+      chunk.columns.emplace_back(decoded_[i]);
+    }
     sample_timer.Stop();
     {
       StageTimer write_timer(span_, Stage::kWrite);
-      sink.Chunk(projected);
+      sink.Chunk(chunk);
     }
     result_.rows += rows_this;
     ++result_.chunks;

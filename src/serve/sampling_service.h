@@ -4,8 +4,15 @@
 // rows under a caller-chosen seed; the service resolves a registry handle
 // once (so a concurrent hot-swap cannot change the model mid-batch),
 // samples the batch in shard-aligned chunks via the model's compiled
-// NetworkSampler, decodes each chunk to the original schema, applies an
-// optional column projection, and streams the chunks through a RowSink.
+// NetworkSampler, and streams each chunk through a RowSink.
+//
+// One owner per chunk: the cursor keeps the Dataset the sampler returns and
+// hands the sink a ColumnBatch of views into it. Decoding to the original
+// schema and the optional column projection copy nothing for hierarchical
+// and vanilla models (their sampled cells already are original values; the
+// projection just picks columns in order). Only Binary/Gray models decode,
+// column by column and only the kept columns, into buffers the cursor
+// reuses across chunks.
 //
 // Determinism is end-to-end: the rows are a pure function of (model, seed,
 // num_rows) — bit-identical to SampleSyntheticData(model, num_rows,
@@ -89,13 +96,16 @@ class SamplingService;
 /// A batch in cursor form: one Step() samples, decodes, projects, and sinks
 /// one chunk, so a caller that cannot accept unbounded output (an event loop
 /// with a bounded per-session write queue) can pause between chunks without
-/// holding a blocked thread. Construction performs everything Sample() did
-/// before the first byte of output — model resolve, projection validation,
-/// base-seed derivation, admission (throwing ResourceExhausted on shed) — so
-/// every pre-stream error still reaches the caller before Begin. The
-/// admission ticket is held for the cursor's lifetime and released either
-/// when the final Step() writes End or on destruction (abort-safe: dropping
-/// a half-driven cursor can never leak an admission slot).
+/// holding a blocked thread. The cursor owns the deadline check (before
+/// every chunk after the first); consumer-side checks — disconnect, cancel,
+/// a full write queue — belong to whoever drives Step. Construction
+/// performs everything Sample() did before the first byte of output — model
+/// resolve, projection validation, base-seed derivation, admission
+/// (throwing ResourceExhausted on shed) — so every pre-stream error still
+/// reaches the caller before Begin. The admission ticket is held for the
+/// cursor's lifetime and released either when the final Step() writes End
+/// or on destruction (abort-safe: dropping a half-driven cursor can never
+/// leak an admission slot).
 class ChunkedSampler {
  public:
   ~ChunkedSampler() = default;
@@ -123,7 +133,7 @@ class ChunkedSampler {
   std::shared_ptr<const ServableModel> handle_;
   Schema out_schema_{std::vector<Attribute>{}};
   std::vector<int> keep_;
-  bool identity_ = false;
+  std::vector<std::vector<Value>> decoded_;  // Binary/Gray: one per kept column
   uint64_t base_seed_ = 0;
   int64_t num_rows_ = 0;
   std::optional<std::chrono::steady_clock::time_point> deadline_;

@@ -20,7 +20,6 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
-#include <streambuf>
 #include <unordered_map>
 #include <utility>
 
@@ -57,56 +56,37 @@ std::string OneLine(const char* text) {
   return out;
 }
 
-// Wire framing around CsvSink/BinaryRowSink: the OK line goes out only once
-// the request has validated (SamplingService resolves the model and
-// projection before calling Begin), so protocol errors never interleave with
-// row data. Once Begin has run (started() == true) the text ERR channel is
-// off limits — failures must go through Abort's in-band marker.
+// Wire framing around CsvSink/BinaryRowSink, rendering into the batch's
+// output buffer: the OK line goes out only once the request has validated
+// (SamplingService resolves the model and projection before calling Begin),
+// so protocol errors never interleave with row data. Once Begin has run
+// (started() == true) the text ERR channel is off limits — failures must go
+// through Abort's in-band marker. The sink writes only the framing no other
+// code writes; the deadline, disconnect and cancel checks belong to the
+// cursor and the batch driver.
 class WireSampleSink : public RowSink {
  public:
   enum class Format { kCsv, kBinary };
 
-  WireSampleSink(std::ostream& out, int64_t num_rows, Format format,
-                 std::optional<std::chrono::steady_clock::time_point> deadline)
-      : out_(&out),
-        num_rows_(num_rows),
-        format_(format),
-        deadline_(deadline),
-        csv_(out),
+  WireSampleSink(std::string& out, int64_t num_rows, Format format)
+      : out_(&out), num_rows_(num_rows), format_(format), csv_(out),
         binary_(out) {}
 
   void Begin(const Schema& schema) override {
-    *out_ << "OK " << num_rows_ << " " << schema.num_attrs() << "\n";
+    *out_ += "OK " + std::to_string(num_rows_) + " " +
+             std::to_string(schema.num_attrs()) + "\n";
     // Both formats lead with CsvSink's name header: binary clients get the
-    // column names without a string table in the frame layout, and the
-    // CSV body keeps rendering through the one WriteCsv-identical sink.
+    // column names without a string table in the frame layout.
     csv_.Begin(schema);
     started_ = true;
     if (format_ == Format::kBinary) binary_.Begin(schema);
   }
 
-  void Chunk(const Dataset& rows) override {
+  void Chunk(const ColumnBatch& rows) override {
     if (format_ == Format::kBinary) {
       binary_.Chunk(rows);
     } else {
       csv_.Chunk(rows);
-    }
-    rows_sent_ += rows.num_rows();
-    out_->flush();  // stream chunk-by-chunk, not batch-at-the-end
-    if (!out_->good()) {
-      // Client went away mid-stream: abort the batch instead of sampling
-      // the remaining (possibly millions of) rows into a dead socket while
-      // holding an admission slot.
-      throw std::runtime_error("client disconnected mid-stream");
-    }
-    // Wire-side deadline check between chunks, mirroring the one inside
-    // SamplingService: a slow consumer (the write queue absorbed the time,
-    // not sampling) still aborts promptly. Skipped once every row is out —
-    // a batch that finished streaming is delivered, never torn up.
-    if (rows_sent_ < num_rows_ && deadline_ &&
-        std::chrono::steady_clock::now() > *deadline_) {
-      throw DeadlineExceeded(
-          "DEADLINE_EXCEEDED: response deadline expired mid-stream");
     }
   }
 
@@ -114,7 +94,7 @@ class WireSampleSink : public RowSink {
     if (format_ == Format::kBinary) {
       binary_.End();
     } else {
-      *out_ << "END\n";
+      *out_ += "END\n";
     }
   }
 
@@ -130,16 +110,13 @@ class WireSampleSink : public RowSink {
     } else {
       csv_.Abort(message);
     }
-    out_->flush();
   }
 
  private:
-  std::ostream* out_;
+  std::string* out_;
   int64_t num_rows_;
   Format format_;
-  std::optional<std::chrono::steady_clock::time_point> deadline_;
   bool started_ = false;
-  int64_t rows_sent_ = 0;
   CsvSink csv_;
   BinaryRowSink binary_;
 };
@@ -189,59 +166,17 @@ struct ServeServer::Session
   std::atomic<bool> notify_queued{false};
 };
 
-// Buffered std::ostream that renders into a session's bounded write queue
-// instead of a socket, so workers never touch fds. A full queue is the batch
-// driver's problem (it parks between chunks); Drain here only fails once the
-// session is closed, which WireSampleSink::Chunk surfaces as a dead stream.
-class ServeSessionWriter : private std::streambuf, public std::ostream {
- public:
-  ServeSessionWriter(ServeServer* server,
-                     std::shared_ptr<ServeServer::Session> session)
-      : std::ostream(this), server_(server), session_(std::move(session)) {
-    setp(buf_, buf_ + sizeof(buf_));
-  }
-
- protected:
-  std::streambuf::int_type overflow(std::streambuf::int_type ch) override {
-    using Traits = std::streambuf::traits_type;
-    if (!Drain()) return Traits::eof();
-    if (ch != Traits::eof()) {
-      *pptr() = static_cast<char>(ch);
-      pbump(1);
-    }
-    return ch;
-  }
-  int sync() override { return Drain() ? 0 : -1; }
-
- private:
-  bool Drain() {
-    const size_t n = static_cast<size_t>(pptr() - pbase());
-    if (n > 0 && !server_->EnqueueBatchOutput(session_, pbase(), n)) {
-      return false;
-    }
-    setp(buf_, buf_ + sizeof(buf_));
-    return true;
-  }
-
-  ServeServer* server_;
-  std::shared_ptr<ServeServer::Session> session_;
-  char buf_[1 << 18];  // stage ~a shard of CSV per queue append
-};
-
-// One in-flight SAMPLE/SAMPLEB stream: the span, the queue-backed writer,
-// the wire sink and the chunk cursor (which owns the admission ticket).
-// Destroyed by the driver on finish/abort; destroying the cursor releases
-// the slot. Member order matters: cursor dies first, then sink, writer.
+// One in-flight SAMPLE/SAMPLEB stream: the span, the rendered-but-unqueued
+// output, the wire sink writing it and the chunk cursor (which owns the
+// admission ticket). Destroyed by the driver on finish/abort; destroying
+// the cursor releases the slot. Member order matters: cursor dies first.
 struct ServeServer::BatchContext {
-  BatchContext(ServeServer* server, std::shared_ptr<Session> session,
-               int64_t num_rows, WireSampleSink::Format format,
+  BatchContext(int64_t num_rows, WireSampleSink::Format format,
                std::optional<std::chrono::steady_clock::time_point> when)
-      : writer(server, std::move(session)),
-        sink(writer, num_rows, format, when),
-        deadline(when) {}
+      : sink(out, num_rows, format), deadline(when) {}
 
   Span span;
-  ServeSessionWriter writer;
+  std::string out;  // one step's output, handed to the write queue at once
   WireSampleSink sink;
   std::unique_ptr<ChunkedSampler> cursor;
   /// Immutable copy of the request deadline, readable under Session::mu by
@@ -583,14 +518,17 @@ void ServeServer::Drain(std::chrono::milliseconds grace) {
   std::lock_guard<std::mutex> lifecycle(lifecycle_mu_);
   if (loops_.empty() && listen_fd_ < 0) return;  // idempotent
 
-  // 1. Stop taking new work. Closing the listen socket removes it from
-  // every loop's epoll set in one stroke; the state flip makes the loops
-  // start sending idle sessions the SHUTTING_DOWN notice.
+  // 1. Stop taking new work: the state flip stops AcceptReady and makes
+  // the loops send idle sessions the SHUTTING_DOWN notice; each loop drops
+  // the listen socket from its epoll set, and shutdown() refuses new
+  // connections and fails any accept4 already under way. The fd itself
+  // stays open (and listen_fd_ unchanged) until the loops are joined, so no
+  // loop can race on the int or accept on a reused fd number.
   state_.store(ServeState::kDraining);
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
+  for (const std::unique_ptr<EventLoop>& loop : loops_) {
+    ::epoll_ctl(loop->epfd, EPOLL_CTL_DEL, listen_fd_, nullptr);
   }
+  ::shutdown(listen_fd_, SHUT_RDWR);
   WakeAllLoops();
 
   // 2. Bounded wait for in-flight requests to finish streaming. Sessions
@@ -625,6 +563,8 @@ void ServeServer::Drain(std::chrono::milliseconds grace) {
     ::close(loop->wake_fd);
     ::close(loop->epfd);
   }
+  ::close(listen_fd_);
+  listen_fd_ = -1;
   loops_.clear();
   workers_.reset();
   hard_stop_.store(false);
@@ -1238,13 +1178,7 @@ void ServeServer::ExecuteQuery(const std::shared_ptr<Session>& s,
   try {
     HandleQueryBody(fields, reply, span);
   } catch (const std::exception& e) {
-    span.ok = false;
-    if (span.error.empty()) span.error = OneLine(e.what());
-    FinishSpan(span);
-    errors_total_->Inc();
-    const std::string text = "ERR " + OneLine(e.what()) + "\n";
-    EnqueueBatchOutput(s, text.data(), text.size());
-    FinishRequest(s);
+    RejectRequest(s, span, OneLine(e.what()), errors_total_);
     return;
   }
   FinishSpan(span);
@@ -1277,13 +1211,7 @@ void ServeServer::StartSample(const std::shared_ptr<Session>& s,
                 "row count out of range [0, "
                     << options_.max_rows_per_request << "]");
   } catch (const std::exception& e) {
-    span.ok = false;
-    span.error = OneLine(e.what());
-    FinishSpan(span);
-    errors_total_->Inc();
-    const std::string text = "ERR " + OneLine(e.what()) + "\n";
-    EnqueueBatchOutput(s, text.data(), text.size());
-    FinishRequest(s);
+    RejectRequest(s, span, OneLine(e.what()), errors_total_);
     return;
   }
   span.model = request.model;
@@ -1310,18 +1238,13 @@ void ServeServer::StartSample(const std::shared_ptr<Session>& s,
   if (early_cancel) {
     // CANCEL beat the worker to the request: no batch ever starts, so the
     // plain ERR channel is still clean.
-    span.ok = false;
-    span.error = "CANCELLED: request cancelled by client";
-    FinishSpan(span);
-    errors_total_->Inc();
-    static const char kText[] = "ERR CANCELLED: request cancelled by client\n";
-    EnqueueBatchOutput(s, kText, sizeof(kText) - 1);
-    FinishRequest(s);
+    RejectRequest(s, span, "CANCELLED: request cancelled by client",
+                  errors_total_);
     return;
   }
 
   auto b = std::make_unique<BatchContext>(
-      this, s, request.num_rows,
+      request.num_rows,
       cmd == "SAMPLEB" ? WireSampleSink::Format::kBinary
                        : WireSampleSink::Format::kCsv,
       request.deadline);
@@ -1330,22 +1253,10 @@ void ServeServer::StartSample(const std::shared_ptr<Session>& s,
   try {
     b->cursor = sampling_.StartChunked(request);
   } catch (const ResourceExhausted& e) {
-    shed_requests_total_->Inc();
-    b->span.ok = false;
-    b->span.error = OneLine(e.what());
-    FinishSpan(b->span);
-    const std::string text = "ERR " + OneLine(e.what()) + "\n";
-    EnqueueBatchOutput(s, text.data(), text.size());
-    FinishRequest(s);
+    RejectRequest(s, b->span, OneLine(e.what()), shed_requests_total_);
     return;
   } catch (const std::exception& e) {
-    errors_total_->Inc();
-    b->span.ok = false;
-    b->span.error = OneLine(e.what());
-    FinishSpan(b->span);
-    const std::string text = "ERR " + OneLine(e.what()) + "\n";
-    EnqueueBatchOutput(s, text.data(), text.size());
-    FinishRequest(s);
+    RejectRequest(s, b->span, OneLine(e.what()), errors_total_);
     return;
   }
 
@@ -1429,6 +1340,12 @@ void ServeServer::DriveBatch(std::shared_ptr<Session> s) {
       AbortBatch(s, OneLine(e.what()));
       return;
     }
+    const bool queued = EnqueueBatchOutput(s, b->out.data(), b->out.size());
+    b->out.clear();
+    if (!queued) {
+      AbortBatch(s, "client disconnected mid-stream");
+      return;
+    }
     if (!more) {
       FinishBatch(s);
       return;
@@ -1453,12 +1370,12 @@ void ServeServer::AbortBatch(const std::shared_ptr<Session>& s,
   // hold its slot through span bookkeeping and queue writes.
   b->cursor.reset();
   if (b->sink.started()) {
-    b->sink.Abort(msg);  // in-band marker; Abort flushes the writer
+    b->sink.Abort(msg);  // in-band marker behind any unqueued output
   } else {
     // Before the OK line the plain ERR channel is still clean.
-    const std::string text = "ERR " + msg + "\n";
-    EnqueueBatchOutput(s, text.data(), text.size());
+    b->out = "ERR " + msg + "\n";
   }
+  EnqueueBatchOutput(s, b->out.data(), b->out.size());
   errors_total_->Inc();
   FinishSpan(b->span);
   b.reset();
@@ -1475,13 +1392,25 @@ void ServeServer::FinishBatch(const std::shared_ptr<Session>& s) {
     FinishRequest(s);
     return;
   }
-  b->writer.flush();  // the END line / end frame may still be staged
   const SampleResult& result = b->cursor->result();
   b->span.rows = static_cast<uint64_t>(result.rows);
   rows_streamed_total_->Add(static_cast<uint64_t>(result.rows));
   b->cursor.reset();
   FinishSpan(b->span);
   b.reset();
+  FinishRequest(s);
+}
+
+void ServeServer::RejectRequest(const std::shared_ptr<Session>& s, Span& span,
+                                const std::string& msg, Counter* counter) {
+  span.ok = false;
+  if (span.error.empty()) span.error = msg;
+  FinishSpan(span);
+  // Counted before the reply goes out: a client that has read the ERR line
+  // must already see it in STATS/METRICS.
+  counter->Inc();
+  const std::string text = "ERR " + msg + "\n";
+  EnqueueBatchOutput(s, text.data(), text.size());
   FinishRequest(s);
 }
 
@@ -1499,24 +1428,19 @@ void ServeServer::FinishRequest(const std::shared_ptr<Session>& s) {
 // ---------------------------------------------------------------------------
 // Shared plumbing.
 
-void ServeServer::EnqueueOutput(const std::shared_ptr<Session>& s,
+bool ServeServer::EnqueueOutput(const std::shared_ptr<Session>& s,
                                 const char* data, size_t len) {
   std::lock_guard<std::mutex> lock(s->mu);
-  if (s->closed) return;
+  if (s->closed) return false;
   s->outbuf.append(data, len);
   write_queue_bytes_->Record(
       static_cast<int64_t>(s->outbuf.size() - s->outpos));
+  return true;
 }
 
 bool ServeServer::EnqueueBatchOutput(const std::shared_ptr<Session>& s,
                                      const char* data, size_t len) {
-  {
-    std::lock_guard<std::mutex> lock(s->mu);
-    if (s->closed) return false;
-    s->outbuf.append(data, len);
-    write_queue_bytes_->Record(
-        static_cast<int64_t>(s->outbuf.size() - s->outpos));
-  }
+  if (!EnqueueOutput(s, data, len)) return false;
   NotifyLoop(s);
   return true;
 }

@@ -63,12 +63,14 @@
 // parsing out of per-session read buffers, and draining per-session write
 // queues on EPOLLOUT. SAMPLE/SAMPLEB/QUERY bodies run on a separate small
 // worker pool (options.batch_workers) that never touches a socket: a batch
-// renders chunks into its session's bounded write queue
-// (options.max_write_buffer) and PARKS when the queue is full, resuming
-// when the event loop has drained it below half — true backpressure. A slow
-// consumer therefore stalls only its own batch; it never blocks a worker
-// thread and never grows server heap beyond the queue bound (plus one
-// chunk). No thread is ever created per connection: thousands of idle
+// driver steps the sampling cursor, whose wire sink renders one chunk into
+// the batch's own buffer, and hands that chunk to its session's bounded
+// write queue (options.max_write_buffer) in one append. Between steps the
+// driver — not the sink — checks for a closed session, a CANCEL and a full
+// queue; on a full queue it PARKS, resuming when the event loop has drained
+// it below half — true backpressure. A slow consumer therefore stalls only
+// its own batch; it never blocks a worker thread and never grows server
+// heap beyond the queue bound (plus one chunk). No thread is ever created per connection: thousands of idle
 // keep-alive sessions cost file descriptors and buffers, not stacks.
 //
 // Overload shedding: two independent caps refuse work instead of queueing
@@ -79,7 +81,9 @@
 // ..." on the still-synchronized connection. Both markers map to the
 // client's typed kShedding error, which is retryable with backoff.
 //
-// Graceful drain: Drain(grace) stops accepting, sends each idle session one
+// Graceful drain: Drain(grace) stops accepting (each loop drops the listen
+// socket from its epoll set and shutdown() refuses new connections; the fd
+// is closed only after the loops are joined), sends each idle session one
 // "ERR SHUTTING_DOWN ..." line (typed kShuttingDown — clients reconnect
 // elsewhere / retry later) and closes it, lets every in-flight request
 // finish streaming (a drain never tears a response; finishing sessions get
@@ -90,11 +94,13 @@
 //
 // Deadlines and idle timeouts are enforced by the event loops' timers, not
 // socket options: options.request_deadline (0 = none) bounds each
-// SAMPLE/SAMPLEB response — expiry between chunks (or while parked on a
-// stuffed write queue) aborts the batch with a DEADLINE_EXCEEDED in-band
-// marker, releasing its admission slot. options.idle_timeout (0 = none)
-// closes sessions that stay silent between requests, via an LRU scan inside
-// the loop (the epoll timeout is the next expiry).
+// SAMPLE/SAMPLEB response — expiry between chunks (checked by the sampling
+// cursor) or while parked on a stuffed write queue (checked by the batch
+// driver and the loop's park timer) aborts the batch with a
+// DEADLINE_EXCEEDED in-band marker, releasing its admission slot.
+// options.idle_timeout (0 = none) closes sessions that stay silent between
+// requests, via an LRU scan inside the loop (the epoll timeout is the next
+// expiry).
 //
 // Sampling goes through SamplingService (deterministic chunked streaming:
 // the CSV for a (model, rows, seed) request is byte-identical on every
@@ -242,7 +248,6 @@ class ServeServer {
   struct Session;       // one connection, owned by its loop (server.cc)
   struct BatchContext;  // one in-flight SAMPLE/SAMPLEB stream (server.cc)
   class WorkerPool;     // runs request bodies off the loops (server.cc)
-  friend class ServeSessionWriter;
 
   // Event-loop side (all run on the owning loop's thread).
   void LoopMain(EventLoop* loop);
@@ -276,10 +281,14 @@ class ServeServer {
   void DriveBatch(std::shared_ptr<Session> s);
   void AbortBatch(const std::shared_ptr<Session>& s, const std::string& msg);
   void FinishBatch(const std::shared_ptr<Session>& s);
+  /// Ends a request that failed before any row went out: marks and
+  /// finishes its span, bumps `counter`, answers with a plain ERR line.
+  void RejectRequest(const std::shared_ptr<Session>& s, Span& span,
+                     const std::string& msg, Counter* counter);
   void FinishRequest(const std::shared_ptr<Session>& s);
 
   // Shared plumbing.
-  void EnqueueOutput(const std::shared_ptr<Session>& s, const char* data,
+  bool EnqueueOutput(const std::shared_ptr<Session>& s, const char* data,
                      size_t len);
   bool EnqueueBatchOutput(const std::shared_ptr<Session>& s, const char* data,
                           size_t len);

@@ -227,6 +227,10 @@ TEST(Csv, RejectsBadInput) {
     EXPECT_THROW(ReadCsv(s, in), std::runtime_error);  // non-integer
   }
   {
+    std::istringstream in("a,b,c\n0,12abc,0\n");
+    EXPECT_THROW(ReadCsv(s, in), std::runtime_error);  // trailing bytes
+  }
+  {
     std::istringstream in("");
     EXPECT_THROW(ReadCsv(s, in), std::runtime_error);  // empty
   }

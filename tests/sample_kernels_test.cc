@@ -292,7 +292,7 @@ TEST(SampleStream, BitIdenticalAcrossDispatchThreadsAndDatasets) {
     // 16 concurrent callers share the sampler (and thread pool) at the
     // detected level; every one must see the reference bytes.
     std::vector<std::thread> callers;
-    std::vector<bool> ok(16, false);
+    std::vector<char> ok(16, 0);  // one byte per caller: no shared words
     for (int t = 0; t < 16; ++t) {
       callers.emplace_back([&, t] {
         Dataset got = sampler.SampleChunk(0xC0FFEEULL, 0, kRows,

@@ -272,6 +272,46 @@ TEST(SamplingService, MatchesSampleSyntheticDataAcrossChunking) {
   EXPECT_TRUE(SameData(one_shot.SampleToDataset(request), expected));
 }
 
+// Every encoding, projected and not: the cursor decodes Binary/Gray chunks
+// column by column into reused buffers and serves hierarchical/vanilla
+// chunks as views, and each must equal SampleSyntheticData's decode.
+TEST(SamplingService, EveryEncodingMatchesSampleSyntheticData) {
+  const Dataset data = MakeAdult(5, 800);
+  for (EncodingKind kind : {EncodingKind::kBinary, EncodingKind::kGray,
+                            EncodingKind::kVanilla,
+                            EncodingKind::kHierarchical}) {
+    SCOPED_TRACE(EncodingName(kind));
+    PrivBayesOptions opts;
+    opts.epsilon = 0.8;
+    opts.encoding = kind;
+    opts.score = ScoreKind::kI;
+    opts.candidate_cap = 40;
+    Rng fit_rng(9);
+    const PrivBayesModel model = PrivBayes(opts).Fit(data, fit_rng);
+    ModelRegistry registry;
+    registry.Put("m", model);
+
+    SampleRequest request;
+    request.model = "m";
+    request.num_rows = 2 * NetworkSampler::kShardRows + 31;  // 3 chunks
+    request.seed = 17;
+    Rng rng(request.seed);
+    const Dataset expected =
+        SampleSyntheticData(model, request.num_rows, rng);
+
+    SamplingService service(&registry, 2, NetworkSampler::kShardRows);
+    EXPECT_TRUE(SameData(service.SampleToDataset(request), expected));
+    request.columns = {7, 0, 3};
+    const Dataset some = service.SampleToDataset(request);
+    ASSERT_EQ(some.num_attrs(), 3);
+    for (int i = 0; i < 3; ++i) {
+      EXPECT_EQ(some.column(i), expected.column(request.columns[i]));
+      EXPECT_EQ(some.schema().attr(i).name,
+                expected.schema().attr(request.columns[i]).name);
+    }
+  }
+}
+
 TEST(SamplingService, InlineFallbackSameBits) {
   ModelRegistry registry;
   registry.Put("m", ModelA());
@@ -331,14 +371,14 @@ TEST(SamplingService, CsvSinkMatchesWriteCsv) {
   request.seed = 5;
 
   SamplingService service(&registry, 2, NetworkSampler::kShardRows);
-  std::ostringstream streamed;
+  std::string streamed;
   CsvSink csv(streamed);
   service.Sample(request, csv);
   EXPECT_EQ(csv.rows_written(), request.num_rows);
 
   std::ostringstream assembled;
   WriteCsv(service.SampleToDataset(request), assembled);
-  EXPECT_EQ(streamed.str(), assembled.str());
+  EXPECT_EQ(streamed, assembled.str());
 }
 
 // The acceptance criterion: identical request seeds yield bit-identical rows
@@ -1772,6 +1812,14 @@ TEST(HostileStream, CsvDecodePathRejectsTornAndMalformedStreams) {
   // ...and after some rows, carrying a server error message.
   EXPECT_EQ(ScriptedCode("OK 5 2\nA,B\n0,1\n1,0\n!ERR boom\nEND\n", sample),
             ServeErrorCode::kServer);
+  // Cells the strict row parser refuses: a non-integer, trailing bytes, a
+  // value above 65535, a sign, a blank cell.
+  for (const char* row : {"0,x\n", "0,12abc\n", "0,65536\n", "0,-1\n",
+                          "0,\n"}) {
+    EXPECT_EQ(ScriptedCode(std::string("OK 5 2\nA,B\n") + row, sample),
+              ServeErrorCode::kProtocol)
+        << row;
+  }
   // Abort trailer not followed by END: the stream state is unknowable.
   EXPECT_EQ(ScriptedCode("OK 5 2\nA,B\n!ERR boom\nWAT\n", sample),
             ServeErrorCode::kProtocol);

@@ -153,22 +153,22 @@ int PackCsv(const std::string& csv_path, const std::string& schema_name,
   while (std::getline(in, line)) {
     ++line_no;
     if (line.empty()) continue;
-    const std::vector<std::string> fields = pb::SplitCsvLine(line);
-    if (static_cast<int>(fields.size()) != schema.num_attrs()) {
-      std::fprintf(stderr, "line %" PRId64 ": %zu fields, expected %d\n",
-                   line_no, fields.size(), schema.num_attrs());
+    if (!pb::ParseCsvRow(line, row)) {
+      std::fprintf(stderr,
+                   "line %" PRId64 ": malformed row (expected %d integer "
+                   "cells in [0, 65535])\n",
+                   line_no, schema.num_attrs());
       return 1;
     }
     for (int c = 0; c < schema.num_attrs(); ++c) {
-      const long v = std::strtol(fields[static_cast<size_t>(c)].c_str(),
-                                 nullptr, 10);
-      if (v < 0 || v >= schema.Cardinality(c)) {
+      const pb::Value v = row[static_cast<size_t>(c)];
+      if (v >= schema.Cardinality(c)) {
         std::fprintf(stderr,
-                     "line %" PRId64 ": value %ld out of domain for '%s'\n",
-                     line_no, v, schema.attr(c).name.c_str());
+                     "line %" PRId64 ": value %d out of domain for '%s'\n",
+                     line_no, static_cast<int>(v),
+                     schema.attr(c).name.c_str());
         return 1;
       }
-      row[static_cast<size_t>(c)] = static_cast<pb::Value>(v);
     }
     writer.AppendRow(row);
   }
