@@ -30,7 +30,6 @@ double RunOnce(const pb::Dataset& data, bool binary_alg, pb::ScoreKind score,
   opts.candidate_cap = pb::FullFidelity()
                            ? 0
                            : static_cast<size_t>(pb::EnvInt("PRIVBAYES_CAP", 200));
-  opts.f_max_states = 2048;
   pb::Rng rng(seed);
   pb::LearnedNetwork learned =
       binary_alg ? pb::LearnNetworkBinary(data, opts, rng, nullptr)

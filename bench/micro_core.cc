@@ -243,25 +243,15 @@ void BM_ScoreR(benchmark::State& state) {
 }
 BENCHMARK(BM_ScoreR)->Arg(3)->Arg(7);
 
-void BM_ScoreFExact(benchmark::State& state) {
+void BM_ScoreF(benchmark::State& state) {
   const pb::Dataset& data = Nltcs();
   pb::ProbTable counts =
       data.JointCounts(PairAttrs(static_cast<int>(state.range(0))));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(pb::ScoreF(counts, data.num_rows(), 0));
+    benchmark::DoNotOptimize(pb::ScoreF(counts, data.num_rows()));
   }
 }
-BENCHMARK(BM_ScoreFExact)->Arg(3)->Arg(5);
-
-void BM_ScoreFThinned(benchmark::State& state) {
-  const pb::Dataset& data = Nltcs();
-  pb::ProbTable counts =
-      data.JointCounts(PairAttrs(static_cast<int>(state.range(0))));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pb::ScoreF(counts, data.num_rows(), 2048));
-  }
-}
-BENCHMARK(BM_ScoreFThinned)->Arg(3)->Arg(5)->Arg(7);
+BENCHMARK(BM_ScoreF)->DenseRange(3, 8);
 
 void BM_ExponentialMechanism(benchmark::State& state) {
   pb::Rng rng(7);

@@ -54,7 +54,7 @@ double TimeScoreMicros(pb::ScoreKind score, const pb::Dataset& data,
       continue;
     }
     pb::ProbTable counts = data.JointCounts(attrs);
-    (void)pb::ComputeScore(score, counts, data.num_rows(), 8192);
+    (void)pb::ComputeScore(score, counts, data.num_rows());
   }
   auto end = std::chrono::steady_clock::now();
   return std::chrono::duration<double, std::micro>(end - start).count() /

@@ -39,8 +39,10 @@ std::vector<std::string> Names(const std::vector<EncodingMethod>& methods) {
   return names;
 }
 
-// Evaluation-workload subsample size (identical across methods; see
-// DESIGN.md §2.5). ACS full-domain projections make big workloads costly.
+// Evaluation-workload subsample size. Every method is scored on the same
+// fixed-seed subsample, so comparisons stay unbiased; a subsample only
+// widens the variance of each average. ACS full-domain projections make big
+// workloads costly.
 size_t EvalQueriesFor(const std::string& dataset) {
   if (dataset == "ACS") return 40;
   return 120;

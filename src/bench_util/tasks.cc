@@ -91,10 +91,6 @@ PrivBayesOptions BenchPrivBayesOptions(double epsilon) {
   opts.epsilon = epsilon;
   opts.candidate_cap =
       FullFidelity() ? 0 : static_cast<size_t>(EnvInt("PRIVBAYES_CAP", 200));
-  opts.f_max_states = FullFidelity()
-                          ? 0
-                          : static_cast<size_t>(
-                                EnvInt("PRIVBAYES_F_STATES", 4096));
   return opts;
 }
 

@@ -9,8 +9,9 @@
 //
 // The candidate count is d·C(d+1, k+1) over a full run (§4.1) — hours of
 // compute for k ≥ 6. `candidate_cap` optionally subsamples each iteration's
-// candidate set uniformly at random; the subsample is data-independent, so
-// the private variant's DP guarantee is unaffected (see DESIGN.md §2.3).
+// candidate set uniformly at random. The subsample never looks at the data,
+// so the exponential mechanism runs over a data-independent candidate set
+// and the private variant's DP guarantee holds unchanged.
 
 #ifndef PRIVBAYES_BN_GREEDY_BAYES_H_
 #define PRIVBAYES_BN_GREEDY_BAYES_H_

@@ -40,7 +40,7 @@ std::vector<GenAttr>& GattrsScratch(const APPair& pair) {
 // values never depend on hit/miss history.
 std::vector<double> ScoreAllCandidates(const Dataset& data,
                                        const std::vector<APPair>& candidates,
-                                       ScoreKind score, size_t f_max_states,
+                                       ScoreKind score,
                                        JointCacheStats* stats) {
   MarginalStore& store = MarginalStore::Instance();
   const int64_t n = data.num_rows();
@@ -56,8 +56,8 @@ std::vector<double> ScoreAllCandidates(const Dataset& data,
           std::shared_ptr<const ProbTable> counts =
               store.Counts(data, GattrsScratch(pair), &hit);
           (hit ? local_hits : local_misses) += 1;
-          scores[c] = ComputeScoreForChild(score, *counts, GenVarId(pair.attr),
-                                           n, f_max_states);
+          scores[c] =
+              ComputeScoreForChild(score, *counts, GenVarId(pair.attr), n);
         }
         hits.fetch_add(local_hits, std::memory_order_relaxed);
         misses.fetch_add(local_misses, std::memory_order_relaxed);
@@ -99,9 +99,8 @@ BayesNet GreedyLoop(const Dataset& data, const PrivateGreedyOptions& options,
   while (!remaining.empty()) {
     std::vector<APPair> candidates = enumerate(chosen, remaining);
     PB_CHECK_MSG(!candidates.empty(), "empty candidate set");
-    std::vector<double> scores =
-        ScoreAllCandidates(data, candidates, options.score,
-                           options.f_max_states, options.cache_stats);
+    std::vector<double> scores = ScoreAllCandidates(
+        data, candidates, options.score, options.cache_stats);
     size_t pick = em.Select(scores, rng, acct);
     const APPair& winner = candidates[pick];
     chosen.push_back(winner.attr);

@@ -60,8 +60,9 @@ struct PrivateGreedyOptions {
   /// Uniform per-iteration cap on the EM candidate set (0 = exact). The cap
   /// is applied with data-independent randomness, so DP is unaffected.
   size_t candidate_cap = 0;
-  /// Frontier cap for the F dynamic program (0 = exact).
-  size_t f_max_states = 8192;
+  /// Ignored: F is always computed exactly (core/score_f_dp.h). Kept so that
+  /// code setting the former F-frontier cap still compiles.
+  size_t f_max_states = 0;
   /// Node budget before maximal-parent-set enumeration falls back to
   /// sampling (general algorithm only).
   size_t mps_node_budget = 200000;

@@ -56,7 +56,6 @@ PrivBayesModel PrivBayes::Fit(const Dataset& data, Rng& rng) const {
   greedy.theta = options_.theta;
   greedy.fixed_k = options_.fixed_k;
   greedy.candidate_cap = options_.candidate_cap;
-  greedy.f_max_states = options_.f_max_states;
   greedy.mps_node_budget = options_.mps_node_budget;
   greedy.first_attr = options_.first_attr;
 

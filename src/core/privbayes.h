@@ -44,11 +44,12 @@ struct PrivBayesOptions {
   /// Overrides the θ-derived degree (binary algorithm only; tests/ablation).
   int fixed_k = -1;
   /// Per-iteration cap on exponential-mechanism candidates (0 = exact
-  /// enumeration, the paper's setting; benches cap for speed — see
-  /// DESIGN.md §2.3; the cap is data-independent and privacy-neutral).
+  /// enumeration, the paper's setting; benches cap for speed). The subset is
+  /// drawn without reading the data, so the cap is privacy-neutral.
   size_t candidate_cap = 0;
-  /// Frontier cap of the F dynamic program (0 = exact).
-  size_t f_max_states = 8192;
+  /// Ignored: F is always computed exactly (core/score_f_dp.h). Kept so that
+  /// code setting the former F-frontier cap still compiles.
+  size_t f_max_states = 0;
   /// Node budget for maximal-parent-set enumeration (general algorithm).
   size_t mps_node_budget = 200000;
   /// First network attribute; -1 = uniformly random (the paper's Line 2).

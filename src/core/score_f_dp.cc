@@ -1,6 +1,8 @@
 #include "core/score_f_dp.h"
 
 #include <algorithm>
+#include <bit>
+#include <memory>
 #include <vector>
 
 #include "common/check.h"
@@ -9,124 +11,133 @@ namespace privbayes {
 
 namespace {
 
-struct State {
-  int64_t a;
-  int64_t b;
+// g past the reach holds this: g + c1 stays negative for every c1 <= H <
+// 2^30, so the max() in the update always takes the indexed side there.
+constexpr int32_t kUnreached = -(int32_t{1} << 30);
+
+// One parent value applied to g over [0, new_top]: c0 is its count on the
+// side g is indexed by, c1 on the other. Entries of g in (top, new_top] hold
+// kUnreached. For a < c0 the indexed-side choice reads g[0].
+void Step(const int32_t* __restrict g, int32_t* __restrict next, int32_t c0,
+          int32_t c1, int32_t new_top, int32_t half) {
+  const int32_t split = std::min(c0, new_top + 1);
+  const int32_t g0 = g[0];
+  for (int32_t a = 0; a < split; ++a) {
+    next[a] = std::min(half, std::max(g[a] + c1, g0));
+  }
+  for (int32_t a = split; a <= new_top; ++a) {
+    next[a] = std::min(half, std::max(g[a] + c1, g[a - c0]));
+  }
+}
+
+// −min[(n − 2a)₊ + (n − 2b)₊] / (2n): the one rounding step of both paths.
+double FromObjective(int64_t twice_n_objective, int64_t n) {
+  return -static_cast<double>(twice_n_objective) /
+         (2.0 * static_cast<double>(n));
+}
+
+// A parent value's two counts, the one on the side g is indexed by first.
+struct Cell {
+  int32_t indexed;
+  int32_t other;
 };
 
-// Merges two frontiers (each sorted by a ascending, b strictly descending)
-// and removes dominated states. Output sorted the same way.
-void MergeAndPrune(const std::vector<State>& lhs, const std::vector<State>& rhs,
-                   std::vector<State>* out) {
-  // Merge by a ascending; on equal a keep only the max-b state (the other is
-  // dominated), which the tie-break below guarantees comes first.
-  std::vector<State> merged;
-  merged.reserve(lhs.size() + rhs.size());
-  size_t i = 0, j = 0;
-  while (i < lhs.size() || j < rhs.size()) {
-    bool take_lhs;
-    if (i == lhs.size()) {
-      take_lhs = false;
-    } else if (j == rhs.size()) {
-      take_lhs = true;
-    } else if (lhs[i].a != rhs[j].a) {
-      take_lhs = lhs[i].a < rhs[j].a;
-    } else {
-      take_lhs = lhs[i].b >= rhs[j].b;
-    }
-    const State& s = take_lhs ? lhs[i++] : rhs[j++];
-    if (!merged.empty() && merged.back().a == s.a) continue;  // dominated
-    merged.push_back(s);
+// Orders `cells` by the bit width of the indexed count, ascending: a
+// counting sort over 31 buckets, within a factor of two of sorted order and
+// without the branch misses of a comparison sort. Returns the DP's work in
+// that order: the sum over the cells of the reach after each.
+int64_t OrderAndCost(std::vector<Cell>& cells, int32_t half) {
+  auto bucket = [](const Cell& c) {
+    return std::bit_width(static_cast<uint32_t>(c.indexed));
+  };
+  size_t start[33] = {};
+  for (const Cell& c : cells) ++start[bucket(c) + 1];
+  for (int b = 1; b < 33; ++b) start[b] += start[b - 1];
+  std::vector<Cell> ordered(cells.size());
+  for (const Cell& c : cells) ordered[start[bucket(c)]++] = c;
+  cells.swap(ordered);
+  int64_t reach = 0, cost = 0;
+  for (const Cell& c : cells) {
+    reach = std::min<int64_t>(half, reach + c.indexed);
+    cost += reach + 1;
   }
-  // Right-to-left scan: a state survives iff its b strictly exceeds the b of
-  // every state with larger a.
-  out->clear();
-  out->reserve(merged.size());
-  int64_t max_b = -1;
-  for (size_t idx = merged.size(); idx > 0; --idx) {
-    const State& s = merged[idx - 1];
-    if (s.b > max_b) {
-      out->push_back(s);
-      max_b = s.b;
-    }
-  }
-  std::reverse(out->begin(), out->end());
-}
-
-// Thins `frontier` to at most ~max_states states by keeping, per bucket of
-// `a` of width g, the max-b state (= the first state in the bucket, since b
-// is descending in a).
-void Thin(std::vector<State>* frontier, size_t max_states, int64_t n) {
-  if (max_states == 0 || frontier->size() <= max_states) return;
-  int64_t g = std::max<int64_t>(1, n / static_cast<int64_t>(max_states));
-  std::vector<State> thinned;
-  thinned.reserve(max_states + 2);
-  int64_t last_bucket = -1;
-  for (const State& s : *frontier) {
-    int64_t bucket = s.a / g;
-    if (bucket != last_bucket) {
-      thinned.push_back(s);
-      last_bucket = bucket;
-    }
-  }
-  frontier->swap(thinned);
-}
-
-double Objective(const State& s, int64_t n) {
-  double half = 0.5;
-  double ta = half - static_cast<double>(s.a) / static_cast<double>(n);
-  double tb = half - static_cast<double>(s.b) / static_cast<double>(n);
-  return (ta > 0 ? ta : 0) + (tb > 0 ? tb : 0);
+  return cost;
 }
 
 }  // namespace
 
-double ScoreFFromColumns(std::span<const FColumn> columns, int64_t n,
-                         size_t max_states) {
+double ScoreFFromColumns(std::span<const FColumn> columns, int64_t n) {
   PB_THROW_IF(n <= 0, "F requires positive n");
-  std::vector<State> frontier = {{0, 0}};
-  std::vector<State> with_a, with_b, next;
-  int64_t half_up = (n + 1) / 2;  // a >= ceil(n/2) makes (1/2 - a/n)+ vanish
+  PB_THROW_IF(n >= (int64_t{1} << 30), "F requires n < 2^30, got " << n);
+  const int32_t n32 = static_cast<int32_t>(n);
+  const int32_t half = (n32 + 1) / 2;  // H: a >= H zeroes (n − 2a)₊
+  // Counts saturate at H like the coordinates they are added to; empty
+  // parent values change nothing.
+  std::vector<Cell> by0, by1;
+  by0.reserve(columns.size());
+  by1.reserve(columns.size());
   for (const FColumn& col : columns) {
     PB_CHECK(col.first >= 0 && col.second >= 0);
-    with_a.clear();
-    with_b.clear();
-    with_a.reserve(frontier.size());
-    with_b.reserve(frontier.size());
-    for (const State& s : frontier) {
-      with_a.push_back({s.a + col.first, s.b});
-      with_b.push_back({s.a, s.b + col.second});
-    }
-    MergeAndPrune(with_a, with_b, &next);
-    Thin(&next, max_states, n);
-    frontier.swap(next);
-    // Early exit: some state already zeroes both penalty terms.
-    for (const State& s : frontier) {
-      if (s.a >= half_up && s.b >= half_up) return 0.0;
-    }
+    const int32_t c0 = static_cast<int32_t>(std::min<int64_t>(col.first, half));
+    const int32_t c1 =
+        static_cast<int32_t>(std::min<int64_t>(col.second, half));
+    if (c0 == 0 && c1 == 0) continue;
+    by0.push_back({c0, c1});
+    by1.push_back({c1, c0});
   }
-  double best = 1.0;
-  for (const State& s : frontier) best = std::min(best, Objective(s, n));
-  return -best;
+  // The objective is symmetric in a and b, and the reachable set does not
+  // depend on the order of the parent values. Small counts first keep the
+  // reach short for as long as possible; index g by whichever side then
+  // costs less.
+  const int64_t cost0 = OrderAndCost(by0, half);
+  const int64_t cost1 = OrderAndCost(by1, half);
+  const std::vector<Cell>& cells = cost0 <= cost1 ? by0 : by1;
+
+  const size_t width = static_cast<size_t>(half) + 1;
+  std::unique_ptr<int32_t[]> scratch =
+      std::make_unique_for_overwrite<int32_t[]>(2 * width);
+  int32_t* g = scratch.get();
+  int32_t* next = g + width;
+  g[0] = 0;  // only the empty assignment (0, 0) so far
+  int32_t top = 0;
+  for (const Cell& c : cells) {
+    const int32_t new_top = std::min(half, top + c.indexed);
+    std::fill(g + top + 1, g + new_top + 1, kUnreached);
+    Step(g, next, c.indexed, c.other, new_top, half);
+    std::swap(g, next);
+    top = new_top;
+    // Early exit: some assignment already zeroes both penalty terms. g[H]
+    // is meaningful only once the reach is H.
+    if (top == half && g[half] == half) return 0.0;
+  }
+  // Every a <= top is reachable (all mass toward the indexed side reaches
+  // top), so g has no unreached entries here.
+  int32_t best = 2 * n32;
+  for (int32_t a = 0; a <= top; ++a) {
+    best = std::min(best, std::max(0, n32 - 2 * a) +
+                              std::max(0, n32 - 2 * g[a]));
+  }
+  return FromObjective(best, n);
 }
 
 double ScoreFBruteForce(std::span<const FColumn> columns, int64_t n) {
   PB_THROW_IF(columns.size() > 24, "brute force limited to 24 columns");
   PB_THROW_IF(n <= 0, "F requires positive n");
   size_t combos = size_t{1} << columns.size();
-  double best = 1.0;
+  int64_t best = 2 * n;
   for (size_t mask = 0; mask < combos; ++mask) {
-    State s{0, 0};
+    int64_t a = 0, b = 0;
     for (size_t c = 0; c < columns.size(); ++c) {
       if (mask & (size_t{1} << c)) {
-        s.a += columns[c].first;
+        a += columns[c].first;
       } else {
-        s.b += columns[c].second;
+        b += columns[c].second;
       }
     }
-    best = std::min(best, Objective(s, n));
+    best = std::min(best, std::max<int64_t>(0, n - 2 * a) +
+                              std::max<int64_t>(0, n - 2 * b));
   }
-  return -best;
+  return FromObjective(best, n);
 }
 
 }  // namespace privbayes

@@ -94,10 +94,10 @@ double ScoreRForChild(const ProbTable& joint_counts, int child_var,
   return 0.5 * probs.L1Distance(indep);
 }
 
-double ScoreFForChild(const ProbTable& joint_counts, int child_var, int64_t n,
-                      size_t max_states) {
+double ScoreFForChild(const ProbTable& joint_counts, int child_var,
+                      int64_t n) {
   if (!joint_counts.vars().empty() && joint_counts.vars().back() == child_var) {
-    return ScoreF(joint_counts, n, max_states);
+    return ScoreF(joint_counts, n);
   }
   // F's column DP reads (X=0, X=1) pairs at stride 1, so a canonical-order
   // table is permuted child-last first. These tables are small (binary
@@ -110,23 +110,23 @@ double ScoreFForChild(const ProbTable& joint_counts, int child_var, int64_t n,
   PB_THROW_IF(order.size() == joint_counts.vars().size(),
               "child variable not in table");
   order.push_back(child_var);
-  return ScoreF(joint_counts.Reorder(order), n, max_states);
+  return ScoreF(joint_counts.Reorder(order), n);
 }
 
 double ComputeScoreForChild(ScoreKind kind, const ProbTable& joint_counts,
-                            int child_var, int64_t n, size_t f_max_states) {
+                            int child_var, int64_t n, size_t /*ignored*/) {
   switch (kind) {
     case ScoreKind::kI:
       return ScoreIForChild(joint_counts, child_var, n);
     case ScoreKind::kF:
-      return ScoreFForChild(joint_counts, child_var, n, f_max_states);
+      return ScoreFForChild(joint_counts, child_var, n);
     case ScoreKind::kR:
       return ScoreRForChild(joint_counts, child_var, n);
   }
   PB_CHECK(false);
 }
 
-double ScoreF(const ProbTable& joint_counts, int64_t n, size_t max_states) {
+double ScoreF(const ProbTable& joint_counts, int64_t n) {
   PB_THROW_IF(n <= 0, "scores need n > 0");
   PB_THROW_IF(joint_counts.num_vars() < 1, "F needs a child variable");
   PB_THROW_IF(joint_counts.cards().back() != 2,
@@ -140,16 +140,15 @@ double ScoreF(const ProbTable& joint_counts, int64_t n, size_t max_states) {
     columns[c] = {static_cast<int64_t>(std::llround(c0)),
                   static_cast<int64_t>(std::llround(c1))};
   }
-  return ScoreFFromColumns(columns, n, max_states);
+  return ScoreFFromColumns(columns, n);
 }
 
-double ComputeScore(ScoreKind kind, const ProbTable& joint_counts, int64_t n,
-                    size_t f_max_states) {
+double ComputeScore(ScoreKind kind, const ProbTable& joint_counts, int64_t n) {
   switch (kind) {
     case ScoreKind::kI:
       return ScoreI(joint_counts, n);
     case ScoreKind::kF:
-      return ScoreF(joint_counts, n, f_max_states);
+      return ScoreF(joint_counts, n);
     case ScoreKind::kR:
       return ScoreR(joint_counts, n);
   }

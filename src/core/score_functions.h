@@ -49,13 +49,12 @@ double ScoreI(const ProbTable& joint_counts, int64_t n);
 /// R(X, Π) from joint counts (child last).
 double ScoreR(const ProbTable& joint_counts, int64_t n);
 
-/// F(X, Π) from joint counts (child last; child must be binary).
-/// `max_states` bounds the DP frontier (0 = exact); see score_f_dp.h.
-double ScoreF(const ProbTable& joint_counts, int64_t n, size_t max_states = 0);
+/// F(X, Π) from joint counts (child last; child must be binary). Exact;
+/// see score_f_dp.h.
+double ScoreF(const ProbTable& joint_counts, int64_t n);
 
 /// Dispatch over the three scores.
-double ComputeScore(ScoreKind kind, const ProbTable& joint_counts, int64_t n,
-                    size_t f_max_states = 0);
+double ComputeScore(ScoreKind kind, const ProbTable& joint_counts, int64_t n);
 
 /// The same scores from counts in ANY variable order given the child's
 /// ProbTable variable id (GenVarId). This is how candidates are scored from
@@ -64,10 +63,12 @@ double ComputeScore(ScoreKind kind, const ProbTable& joint_counts, int64_t n,
 /// the table in place; F reorders the (small) table to put the child last.
 double ScoreIForChild(const ProbTable& joint_counts, int child_var, int64_t n);
 double ScoreRForChild(const ProbTable& joint_counts, int child_var, int64_t n);
-double ScoreFForChild(const ProbTable& joint_counts, int child_var, int64_t n,
-                      size_t max_states = 0);
+double ScoreFForChild(const ProbTable& joint_counts, int child_var, int64_t n);
+/// The trailing argument is ignored: F is always exact. It is kept so that
+/// callers written against the former F-frontier cap still compile.
 double ComputeScoreForChild(ScoreKind kind, const ProbTable& joint_counts,
-                            int child_var, int64_t n, size_t f_max_states = 0);
+                            int child_var, int64_t n,
+                            size_t /*ignored*/ = 0);
 
 }  // namespace privbayes
 

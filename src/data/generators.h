@@ -7,8 +7,10 @@
 // fixed-seed ground-truth Bayesian network of degree <= 3 with Dirichlet
 // conditional distributions. This preserves the property every experiment in
 // §6 actually exercises — genuine low-degree correlation structure over the
-// right domain geometry — while the concrete bits differ from the originals
-// (see DESIGN.md §2 for the substitution argument).
+// right domain geometry — while the concrete bits differ from the originals.
+// The substitution holds because the experiments compare methods on the same
+// schema and correlation structure: trends in ε, k, θ and encoding carry
+// over, while absolute error values are not the paper's.
 
 #ifndef PRIVBAYES_DATA_GENERATORS_H_
 #define PRIVBAYES_DATA_GENERATORS_H_

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
+#include <string>
 
 #include "bn/greedy_bayes.h"
 #include "core/maximal_parent_sets.h"
@@ -240,6 +242,88 @@ TEST(PrivateGreedy, ScoreFBeatsIAtTightBudget) {
   };
   EXPECT_GT(quality(ScoreKind::kF), quality(ScoreKind::kI) * 0.95);
 }
+
+// Score F networks on NLTCS at the paper's defaults (β = 0.3, θ = 4, full
+// candidate enumeration), pinned to the structures the sparse-frontier DP
+// this one replaced learned with its cap off (exact). A material change to
+// F's values shows here as a different network; score_f_dp_test checks the
+// values themselves bit for bit.
+struct PinnedNetwork {
+  double epsilon;
+  uint64_t seed;
+  int k;
+  const char* structure;  // "child:parent,parent ..." in network order
+};
+
+const PinnedNetwork kPinnedNetworks[] = {
+    {0.4, 1, 5,
+      "11: 14:11 1:11,14 9:11,14,1 12:11,14,1,9 6:11,14,1,9,12 "
+      "2:11,1,9,12,6 7:11,14,9,12,2 15:14,1,12,2,7 10:11,14,1,2,15 "
+      "13:11,14,12,6,10 3:1,12,6,2,10 4:1,9,2,7,3 5:14,2,10,3,4 "
+      "8:6,7,10,4,5 0:2,15,13,4,8"},
+    {0.4, 2, 5,
+      "14: 11:14 6:14,11 2:14,11,6 7:14,11,6,2 9:14,11,6,2,7 1:14,11,6,7,9 "
+      "4:14,11,6,7,1 12:11,2,7,9,1 5:14,2,9,1,4 8:14,2,1,4,5 10:14,6,1,4,8 "
+      "13:11,6,2,12,10 15:14,7,1,10,13 3:14,9,4,5,10 0:9,1,4,5,8"},
+    {0.4, 3, 5,
+      "1: 15:1 10:1,15 14:1,15,10 11:1,15,10,14 9:1,15,10,14,11 "
+      "12:1,10,14,11,9 6:1,15,14,11,9 2:1,15,9,12,6 7:1,15,10,6,2 "
+      "13:10,14,9,12,6 4:1,10,14,12,2 8:10,12,2,13,4 5:1,10,14,4,8 "
+      "3:1,6,7,4,5 0:1,10,9,7,13"},
+    {1.6, 1, 7,
+      "11: 14:11 6:11,14 2:11,14,6 7:11,14,6,2 9:11,14,6,2,7 "
+      "1:11,14,6,2,7,9 12:11,14,6,2,7,9,1 3:11,6,2,7,9,1,12 "
+      "4:14,6,2,7,9,12,3 5:6,2,9,1,12,3,4 8:11,6,2,9,12,3,5 "
+      "10:14,6,2,7,9,4,8 13:11,14,6,1,12,5,10 15:11,14,6,2,1,12,10 "
+      "0:11,6,1,3,4,8,15"},
+    {1.6, 2, 7,
+      "14: 11:14 6:14,11 2:14,11,6 7:14,11,6,2 9:14,11,6,2,7 "
+      "1:14,11,6,2,7,9 12:14,11,6,2,7,9,1 4:14,11,6,2,7,9,1 "
+      "3:14,11,6,2,7,9,4 5:14,2,7,9,12,4,3 8:14,11,6,2,7,3,5 "
+      "10:14,6,1,12,4,5,8 13:14,11,6,7,12,5,10 15:14,11,2,1,4,10,13 "
+      "0:11,7,1,3,5,8,15"},
+    {1.6, 3, 7,
+      "1: 15:1 10:1,15 14:1,15,10 11:1,15,10,14 9:1,15,10,14,11 "
+      "12:1,15,10,14,11,9 6:1,15,10,14,11,9,12 13:1,10,14,11,9,12,6 "
+      "2:1,15,10,14,11,6,13 7:1,10,14,11,9,13,2 8:10,14,11,9,12,6,2 "
+      "5:1,10,11,6,2,7,8 4:10,12,6,2,7,8,5 3:1,12,6,2,7,5,4 "
+      "0:1,14,11,13,2,7,3"},
+};
+
+std::string StructureString(const BayesNet& net) {
+  std::string out;
+  for (const APPair& pair : net.pairs()) {
+    if (!out.empty()) out += ' ';
+    out += std::to_string(pair.attr) + ':';
+    for (size_t i = 0; i < pair.parents.size(); ++i) {
+      if (i > 0) out += ',';
+      out += std::to_string(pair.parents[i].attr);
+    }
+  }
+  return out;
+}
+
+class ScoreFNetworksPinned : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(ScoreFNetworksPinned, NltcsStructureUnchanged) {
+  static const Dataset data = MakeNltcs(2014);
+  const PinnedNetwork& pinned = kPinnedNetworks[GetParam()];
+  SCOPED_TRACE("epsilon " + std::to_string(pinned.epsilon) + ", seed " +
+               std::to_string(pinned.seed));
+  PrivateGreedyOptions opts;
+  opts.score = ScoreKind::kF;
+  opts.epsilon1 = 0.3 * pinned.epsilon;
+  opts.epsilon2_plan = 0.7 * pinned.epsilon;
+  opts.theta = 4.0;
+  Rng rng(pinned.seed);
+  LearnedNetwork learned = LearnNetworkBinary(data, opts, rng, nullptr);
+  EXPECT_EQ(learned.k, pinned.k);
+  EXPECT_EQ(StructureString(learned.net), pinned.structure);
+}
+
+INSTANTIATE_TEST_SUITE_P(EpsilonAndSeed, ScoreFNetworksPinned,
+                         ::testing::Range(size_t{0},
+                                          std::size(kPinnedNetworks)));
 
 }  // namespace
 }  // namespace privbayes

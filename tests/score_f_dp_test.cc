@@ -1,8 +1,9 @@
-// Tests for core/score_f_dp: the F dynamic program against brute force,
-// paper examples, thinning-error bounds, early exit.
+// Tests for core/score_f_dp: the F dynamic program against brute force
+// (bit-exact), paper examples, the ⌈n/2⌉ clamp, edge cases, early exit.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "common/random.h"
@@ -63,48 +64,122 @@ TEST(ScoreFDp, RangeIsMinusHalfToZero) {
   }
 }
 
+// Random columns that reach the ⌈n/2⌉ clamp: counts up to 5,000, up to 20
+// columns, with empty and one-sided columns mixed in.
+std::vector<FColumn> RandomColumns(Rng& rng, int64_t* n) {
+  static constexpr uint64_t kMaxCount[] = {12, 100, 5000};
+  int cols_n = 1 + static_cast<int>(rng.UniformInt(20));
+  uint64_t max_count = kMaxCount[rng.UniformInt(3)] + 1;
+  std::vector<FColumn> cols(cols_n);
+  *n = 0;
+  for (FColumn& c : cols) {
+    switch (rng.UniformInt(5)) {
+      case 0:  // empty parent value
+        c = {0, 0};
+        break;
+      case 1:
+        c = {static_cast<int64_t>(rng.UniformInt(max_count)), 0};
+        break;
+      case 2:
+        c = {0, static_cast<int64_t>(rng.UniformInt(max_count))};
+        break;
+      default:
+        c = {static_cast<int64_t>(rng.UniformInt(max_count)),
+             static_cast<int64_t>(rng.UniformInt(max_count))};
+    }
+    *n += c.first + c.second;
+  }
+  return cols;
+}
+
 TEST(ScoreFDp, MatchesBruteForceRandomized) {
   Rng rng(2);
-  for (int trial = 0; trial < 200; ++trial) {
-    int cols_n = 1 + static_cast<int>(rng.UniformInt(10));
+  int compared = 0, nonzero = 0;
+  for (int trial = 0; trial < 300; ++trial) {
     int64_t n = 0;
-    std::vector<FColumn> cols(cols_n);
-    for (FColumn& c : cols) {
-      c.first = rng.UniformInt(12);
-      c.second = rng.UniformInt(12);
-      n += c.first + c.second;
-    }
+    std::vector<FColumn> cols = RandomColumns(rng, &n);
     if (n == 0) continue;
-    EXPECT_NEAR(ScoreFFromColumns(cols, n), ScoreFBruteForce(cols, n), 1e-12)
+    double expected = ScoreFBruteForce(cols, n);
+    EXPECT_EQ(ScoreFFromColumns(cols, n), expected) << "trial " << trial;
+    ++compared;
+    nonzero += expected != 0.0;
+  }
+  EXPECT_GE(compared, 200);
+  EXPECT_GE(nonzero, 100);  // the early exit does not decide every case
+}
+
+TEST(ScoreFDp, OddAndEvenN) {
+  // n = 8, H = 4: a = b = 4 zeroes both terms.
+  std::vector<FColumn> even = {{4, 0}, {0, 4}};
+  EXPECT_EQ(ScoreFFromColumns(even, 8), 0.0);
+  // n = 7, H = 4: a = 4 is enough, b = 3 leaves (7 − 6) = 1 → F = −1/14.
+  std::vector<FColumn> odd = {{4, 0}, {0, 3}};
+  EXPECT_EQ(ScoreFFromColumns(odd, 7), -1.0 / 14.0);
+  EXPECT_EQ(ScoreFBruteForce(odd, 7), -1.0 / 14.0);
+  // n = 9, H = 5: b = 4 falls one short → F = −1/18.
+  std::vector<FColumn> odd9 = {{5, 0}, {0, 4}};
+  EXPECT_EQ(ScoreFFromColumns(odd9, 9), -1.0 / 18.0);
+}
+
+TEST(ScoreFDp, ColumnHoldingHalfOrMore) {
+  // n = 10, H = 5. A column with c0 >= H saturates a on its own.
+  std::vector<FColumn> big0 = {{6, 0}, {1, 3}};
+  EXPECT_EQ(ScoreFFromColumns(big0, 10), ScoreFBruteForce(big0, 10));
+  EXPECT_EQ(ScoreFFromColumns(big0, 10), -0.2);  // a = 6, b = 3
+  // c1 >= H: b = 7 from the first column, a = 2 from the second.
+  std::vector<FColumn> big1 = {{0, 7}, {2, 1}};
+  EXPECT_EQ(ScoreFFromColumns(big1, 10), ScoreFBruteForce(big1, 10));
+  EXPECT_EQ(ScoreFFromColumns(big1, 10), -0.3);
+  // Both sides of one column at H: only one side can be kept.
+  std::vector<FColumn> both = {{5, 5}};
+  EXPECT_EQ(ScoreFFromColumns(both, 10), -0.5);
+  // Counts far beyond H (and beyond n) saturate without overflow.
+  std::vector<FColumn> huge = {{int64_t{1} << 40, 0}, {0, 3}};
+  EXPECT_EQ(ScoreFFromColumns(huge, 10), -0.2);
+}
+
+TEST(ScoreFDp, ZeroColumnsAndSingleColumn) {
+  // No parent values at all: only (a, b) = (0, 0) → (n + n) / 2n.
+  EXPECT_EQ(ScoreFFromColumns({}, 10), -1.0);
+  EXPECT_EQ(ScoreFBruteForce({}, 10), -1.0);
+  // Empty parent values change nothing.
+  std::vector<FColumn> cols = {{0, 0}, {6, 1}, {0, 0}, {0, 1}, {0, 1},
+                               {0, 0}, {0, 1}};
+  EXPECT_EQ(ScoreFFromColumns(cols, 10), -0.2);
+  // One parent value: the larger side is kept, the other term is ½.
+  for (int64_t c0 = 0; c0 <= 9; ++c0) {
+    std::vector<FColumn> one = {{c0, 9 - c0}};
+    EXPECT_EQ(ScoreFFromColumns(one, 9), ScoreFBruteForce(one, 9)) << c0;
+  }
+}
+
+TEST(ScoreFDp, EarlyExitIgnoresScratchBeyondTheReach) {
+  // Alternate an instance that exits early (g[H] = H) with one of the same
+  // n whose reach stays below H for several columns: a check of g[H] before
+  // the reach is H would read what the previous call left in the scratch.
+  Rng rng(5);
+  for (int trial = 0; trial < 200; ++trial) {
+    int64_t half = 50 + static_cast<int64_t>(rng.UniformInt(500));
+    int64_t n = 2 * half;
+    std::vector<FColumn> exits = {{half, 0}, {0, half}};
+    ASSERT_EQ(ScoreFFromColumns(exits, n), 0.0);
+    std::vector<FColumn> slow;
+    int64_t left = n;
+    while (left > 0) {
+      int64_t c0 = std::min<int64_t>(left, 1 + rng.UniformInt(half / 4));
+      left -= c0;
+      int64_t c1 = std::min<int64_t>(left, rng.UniformInt(half / 4));
+      left -= c1;
+      slow.push_back({c0, c1});
+    }
+    if (slow.size() > 20) continue;
+    EXPECT_EQ(ScoreFFromColumns(slow, n), ScoreFBruteForce(slow, n))
         << "trial " << trial;
   }
 }
 
-TEST(ScoreFDp, ThinnedApproximationIsCloseAndBelow) {
-  Rng rng(3);
-  for (int trial = 0; trial < 30; ++trial) {
-    int cols_n = 12;
-    int64_t n = 0;
-    std::vector<FColumn> cols(cols_n);
-    for (FColumn& c : cols) {
-      c.first = rng.UniformInt(400);
-      c.second = rng.UniformInt(400);
-      n += c.first + c.second;
-    }
-    double exact = ScoreFFromColumns(cols, n, 0);
-    size_t max_states = 64;
-    double approx = ScoreFFromColumns(cols, n, max_states);
-    // Thinning under-estimates F by at most cols·(n/max_states)/n.
-    double bound =
-        static_cast<double>(cols_n) / static_cast<double>(max_states);
-    EXPECT_LE(approx, exact + 1e-12);
-    EXPECT_GE(approx, exact - bound - 1e-9) << "trial " << trial;
-  }
-}
-
 TEST(ScoreFDp, LargeInstanceRunsFast) {
-  // 128 columns over n = 20000: the NLTCS k=7 shape. Mostly a smoke/perf
-  // guard — must complete well under a second with thinning.
+  // 128 columns over n ≈ 25,000: the NLTCS k = 7 shape, exact.
   Rng rng(4);
   std::vector<FColumn> cols(128);
   int64_t n = 0;
@@ -113,7 +188,7 @@ TEST(ScoreFDp, LargeInstanceRunsFast) {
     c.second = rng.UniformInt(200);
     n += c.first + c.second;
   }
-  double f = ScoreFFromColumns(cols, n, 8192);
+  double f = ScoreFFromColumns(cols, n);
   EXPECT_LE(f, 0.0);
   EXPECT_GE(f, -0.5);
 }
@@ -121,6 +196,11 @@ TEST(ScoreFDp, LargeInstanceRunsFast) {
 TEST(ScoreFDp, InvalidInputs) {
   std::vector<FColumn> cols = {{1, 1}};
   EXPECT_THROW(ScoreFFromColumns(cols, 0), std::invalid_argument);
+  // The DP runs in int32: n must stay below 2^30.
+  EXPECT_THROW(ScoreFFromColumns(cols, int64_t{1} << 30),
+               std::invalid_argument);
+  EXPECT_THROW(ScoreFFromColumns(cols, int64_t{1} << 40),
+               std::invalid_argument);
   std::vector<FColumn> too_many(30, {1, 1});
   EXPECT_THROW(ScoreFBruteForce(too_many, 60), std::invalid_argument);
 }

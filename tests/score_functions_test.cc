@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "common/random.h"
 #include "core/score_functions.h"
@@ -126,7 +129,7 @@ TEST(ComputeScore, DispatchConsistent) {
   int64_t n = 100;
   EXPECT_EQ(ComputeScore(ScoreKind::kI, counts, n), ScoreI(counts, n));
   EXPECT_EQ(ComputeScore(ScoreKind::kR, counts, n), ScoreR(counts, n));
-  EXPECT_EQ(ComputeScore(ScoreKind::kF, counts, n, 0), ScoreF(counts, n, 0));
+  EXPECT_EQ(ComputeScore(ScoreKind::kF, counts, n), ScoreF(counts, n));
 }
 
 // Empirical sensitivity property test: for random neighbouring datasets
@@ -166,6 +169,71 @@ TEST_P(EmpiricalSensitivity, NeighbourDeltasWithinBounds) {
 
 INSTANTIATE_TEST_SUITE_P(RandomNeighbours, EmpiricalSensitivity,
                          ::testing::Range(0, 40));
+
+// Theorem 4.5, checked exhaustively: on small all-binary datasets, every
+// single-tuple substitution moves F of every family (child, parent set) by
+// at most SensitivityF(n) = 1/n, scored the way the learner scores it.
+TEST(EmpiricalSensitivityF, EverySubstitutionEveryFamily) {
+  Rng rng(77);
+  double max_delta = 0;
+  for (int trial = 0; trial < 12; ++trial) {
+    const int d = 3 + static_cast<int>(rng.UniformInt(2));
+    const int n = 2 + static_cast<int>(rng.UniformInt(11));
+    std::vector<Attribute> attrs;
+    for (int a = 0; a < d; ++a) {
+      attrs.push_back(Attribute::Binary("b" + std::to_string(a)));
+    }
+    Dataset data{Schema(attrs)};
+    for (int i = 0; i < n; ++i) {
+      std::vector<Value> row(d);
+      for (Value& v : row) v = static_cast<Value>(rng.UniformInt(2));
+      data.AppendRow(row);
+    }
+    // Every family: a child and any subset of the other attributes.
+    std::vector<std::vector<GenAttr>> families;
+    std::vector<int> children;
+    for (int child = 0; child < d; ++child) {
+      for (int mask = 0; mask < (1 << d); ++mask) {
+        if (mask & (1 << child)) continue;
+        std::vector<GenAttr> family;
+        for (int a = 0; a < d; ++a) {
+          if (mask & (1 << a)) family.push_back(GenAttr{a, 0});
+        }
+        family.push_back(GenAttr{child, 0});
+        families.push_back(family);
+        children.push_back(child);
+      }
+    }
+    auto scores = [&](const Dataset& ds) {
+      std::vector<double> out;
+      for (size_t f = 0; f < families.size(); ++f) {
+        out.push_back(ComputeScoreForChild(
+            ScoreKind::kF, ds.JointCountsGeneralized(families[f]),
+            GenVarId(children[f]), n));
+      }
+      return out;
+    };
+    const std::vector<double> base = scores(data);
+    for (int i = 0; i < n; ++i) {
+      for (int tuple = 0; tuple < (1 << d); ++tuple) {
+        Dataset neighbour = data;
+        for (int a = 0; a < d; ++a) {
+          neighbour.Set(i, a, static_cast<Value>((tuple >> a) & 1));
+        }
+        const std::vector<double> moved = scores(neighbour);
+        for (size_t f = 0; f < families.size(); ++f) {
+          double delta = std::abs(moved[f] - base[f]);
+          max_delta = std::max(max_delta, delta * n);
+          ASSERT_LE(delta, SensitivityF(n) + 1e-12)
+              << "trial " << trial << " row " << i << " tuple " << tuple
+              << " family " << f;
+        }
+      }
+    }
+  }
+  // Some substitution reaches the bound: the check is not vacuous.
+  EXPECT_NEAR(max_delta, 1.0, 1e-9);
+}
 
 }  // namespace
 }  // namespace privbayes

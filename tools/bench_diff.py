@@ -12,6 +12,13 @@ Two modes:
       hot path), whose regressions are `::error::` annotations and make
       the script exit 1.
 
+      --ratio-gate NUM:DEN:MAX (repeatable) adds a same-run gate on NEW.json
+      alone: benchmark NUM may take at most MAX times as long per iteration
+      as benchmark DEN (real_time, units normalized). Both run on the same
+      machine in the same job, so the gate holds on any runner, unlike the
+      absolute --gate against a baseline recorded elsewhere. A failed or
+      missing pair is an `::error::` and exit 1.
+
   bench_diff.py --trajectory RUN1.json RUN2.json ... [--markdown-out F]
       Render a benchmark × run markdown table of throughputs (the ROADMAP's
       BENCH trajectory dashboard). Runs are ordered oldest → newest; column
@@ -51,6 +58,61 @@ def load(path):
         if value is not None:
             out[entry["name"]] = (value, kind)
     return out
+
+
+_SECONDS_PER_UNIT = {"ns": 1e-9, "us": 1e-6, "ms": 1e-3, "s": 1.0}
+
+
+def load_seconds(path):
+    """Per-iteration real time in seconds, by benchmark name."""
+    with open(path) as f:
+        data = json.load(f)
+    out = {}
+    for entry in data.get("benchmarks", []):
+        if entry.get("run_type") == "aggregate" or "real_time" not in entry:
+            continue
+        unit = _SECONDS_PER_UNIT[entry.get("time_unit", "ns")]
+        out[entry["name"]] = float(entry["real_time"]) * unit
+    return out
+
+
+def parse_ratio_gate(spec):
+    """'NUM:DEN:MAX' -> (NUM, DEN, MAX). Names may contain '/' but not ':'."""
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(
+            f"ratio gate '{spec}' is not NUM:DEN:MAX")
+    try:
+        limit = float(parts[2])
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"ratio gate '{spec}': MAX must be a number")
+    if not limit > 0:
+        raise argparse.ArgumentTypeError(
+            f"ratio gate '{spec}': MAX must be positive")
+    return parts[0], parts[1], limit
+
+
+def check_ratio_gates(new_path, gates):
+    """Returns the number of failed same-run ratio gates."""
+    times = load_seconds(new_path)
+    failures = 0
+    for num, den, limit in gates:
+        missing = [name for name in (num, den) if name not in times]
+        if missing:
+            failures += 1
+            print(f"::error::ratio gate {num} <= {limit:g} x {den}: "
+                  f"benchmark missing from {new_path}: {', '.join(missing)}")
+            continue
+        ratio = times[num] / times[den] if times[den] > 0 else float("inf")
+        verdict = "ok" if ratio <= limit else "FAILED"
+        print(f"ratio gate {num} / {den} = {ratio:.2f}x "
+              f"(limit {limit:g}x): {verdict}")
+        if ratio > limit:
+            failures += 1
+            print(f"::error::ratio gate failed: {num} takes {ratio:.2f}x "
+                  f"as long as {den} (limit {limit:g}x)")
+    return failures
 
 
 def human(value):
@@ -173,14 +235,22 @@ def main():
     parser.add_argument("--gate", metavar="REGEX",
                         help="escalate regressions of matching benchmarks "
                              "to errors and exit 1 (diff mode)")
+    parser.add_argument("--ratio-gate", metavar="NUM:DEN:MAX",
+                        action="append", type=parse_ratio_gate, default=[],
+                        help="fail unless benchmark NUM takes at most MAX "
+                             "times as long as DEN within NEW.json "
+                             "(repeatable; diff mode)")
     args = parser.parse_args()
 
     if args.trajectory:
         return run_trajectory(args.trajectory, args.labels, args.markdown_out)
     if not args.baseline or not args.new:
         parser.error("need BASELINE.json NEW.json (or --trajectory)")
-    return run_diff(args.baseline, args.new, args.threshold,
-                    args.markdown_out, args.gate)
+    status = run_diff(args.baseline, args.new, args.threshold,
+                      args.markdown_out, args.gate)
+    if check_ratio_gates(args.new, args.ratio_gate):
+        status = 1
+    return status
 
 
 if __name__ == "__main__":
