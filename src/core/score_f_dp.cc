@@ -1,7 +1,6 @@
 #include "core/score_f_dp.h"
 
 #include <algorithm>
-#include <bit>
 #include <memory>
 #include <vector>
 
@@ -11,22 +10,21 @@ namespace privbayes {
 
 namespace {
 
-// g past the reach holds this: g + c1 stays negative for every c1 <= H <
-// 2^30, so the max() in the update always takes the indexed side there.
-constexpr int32_t kUnreached = -(int32_t{1} << 30);
+// A parent value that can lower the objective when sent to X = 0: weight w
+// (its count on the majority side, clamped at H) exceeds its cost c (its
+// count on the minority side), and c > 0.
+struct Item {
+  int32_t weight;
+  int32_t cost;
+};
 
-// One parent value applied to g over [0, new_top]: c0 is its count on the
-// side g is indexed by, c1 on the other. Entries of g in (top, new_top] hold
-// kUnreached. For a < c0 the indexed-side choice reads g[0].
-void Step(const int32_t* __restrict g, int32_t* __restrict next, int32_t c0,
-          int32_t c1, int32_t new_top, int32_t half) {
-  const int32_t split = std::min(c0, new_top + 1);
-  const int32_t g0 = g[0];
-  for (int32_t a = 0; a < split; ++a) {
-    next[a] = std::min(half, std::max(g[a] + c1, g0));
-  }
-  for (int32_t a = split; a <= new_top; ++a) {
-    next[a] = std::min(half, std::max(g[a] + c1, g[a - c0]));
+// One item applied to g over [0, top]: g'[C] = max(g[C], min(H, g[C − c] +
+// w)), the largest clamped weight within cost C with the item or without it.
+void Step(const int32_t* __restrict g, int32_t* __restrict next, Item item,
+          int32_t top, int32_t half) {
+  std::copy(g, g + item.cost, next);
+  for (int32_t c = item.cost; c <= top; ++c) {
+    next[c] = std::max(g[c], std::min(half, g[c - item.cost] + item.weight));
   }
 }
 
@@ -36,88 +34,94 @@ double FromObjective(int64_t twice_n_objective, int64_t n) {
          (2.0 * static_cast<double>(n));
 }
 
-// A parent value's two counts, the one on the side g is indexed by first.
-struct Cell {
-  int32_t indexed;
-  int32_t other;
-};
-
-// Orders `cells` by the bit width of the indexed count, ascending: a
-// counting sort over 31 buckets, within a factor of two of sorted order and
-// without the branch misses of a comparison sort. Returns the DP's work in
-// that order: the sum over the cells of the reach after each.
-int64_t OrderAndCost(std::vector<Cell>& cells, int32_t half) {
-  auto bucket = [](const Cell& c) {
-    return std::bit_width(static_cast<uint32_t>(c.indexed));
-  };
-  size_t start[33] = {};
-  for (const Cell& c : cells) ++start[bucket(c) + 1];
-  for (int b = 1; b < 33; ++b) start[b] += start[b - 1];
-  std::vector<Cell> ordered(cells.size());
-  for (const Cell& c : cells) ordered[start[bucket(c)]++] = c;
-  cells.swap(ordered);
-  int64_t reach = 0, cost = 0;
-  for (const Cell& c : cells) {
-    reach = std::min<int64_t>(half, reach + c.indexed);
-    cost += reach + 1;
-  }
-  return cost;
-}
-
 }  // namespace
 
 double ScoreFFromColumns(std::span<const FColumn> columns, int64_t n) {
   PB_THROW_IF(n <= 0, "F requires positive n");
   PB_THROW_IF(n >= (int64_t{1} << 30), "F requires n < 2^30, got " << n);
-  const int32_t n32 = static_cast<int32_t>(n);
-  const int32_t half = (n32 + 1) / 2;  // H: a >= H zeroes (n − 2a)₊
-  // Counts saturate at H like the coordinates they are added to; empty
-  // parent values change nothing.
-  std::vector<Cell> by0, by1;
-  by0.reserve(columns.size());
-  by1.reserve(columns.size());
+  // Counts are clamped at n: a count that large saturates its side on its
+  // own, and the clamp keeps the sums exact about which side is at most n/2.
+  auto clamp = [n](int64_t count) { return std::min(count, n); };
+  int64_t sum0 = 0, sum1 = 0;
   for (const FColumn& col : columns) {
     PB_CHECK(col.first >= 0 && col.second >= 0);
-    const int32_t c0 = static_cast<int32_t>(std::min<int64_t>(col.first, half));
-    const int32_t c1 =
-        static_cast<int32_t>(std::min<int64_t>(col.second, half));
-    if (c0 == 0 && c1 == 0) continue;
-    by0.push_back({c0, c1});
-    by1.push_back({c1, c0});
+    sum0 += clamp(col.first);
+    sum1 += clamp(col.second);
   }
-  // The objective is symmetric in a and b, and the reachable set does not
-  // depend on the order of the parent values. Small counts first keep the
-  // reach short for as long as possible; index g by whichever side then
-  // costs less.
-  const int64_t cost0 = OrderAndCost(by0, half);
-  const int64_t cost1 = OrderAndCost(by1, half);
-  const std::vector<Cell>& cells = cost0 <= cost1 ? by0 : by1;
+  PB_THROW_IF(2 * std::min(sum0, sum1) > n,
+              "F requires one side of X to hold at most n/2, got "
+                  << sum0 << " and " << sum1 << " with n = " << n);
+  // Orient so that side 1 is the minority: 2·A1 <= n.
+  const bool flip = sum1 > sum0;
+  const int64_t minority = flip ? sum0 : sum1;
+  const int32_t half = static_cast<int32_t>((n + 1) / 2);  // H
 
-  const size_t width = static_cast<size_t>(half) + 1;
+  // Only values with weight > cost can help; a cost of 0 is free weight.
+  int64_t free = 0, weight_sum = 0, cost_sum = 0;
+  std::vector<Item> items;
+  for (const FColumn& col : columns) {
+    const int64_t w = clamp(flip ? col.second : col.first);
+    const int64_t c = clamp(flip ? col.first : col.second);
+    if (w <= c) continue;
+    if (c == 0) {
+      free += w;
+      continue;
+    }
+    items.push_back({static_cast<int32_t>(std::min<int64_t>(w, half)),
+                     static_cast<int32_t>(c)});
+    weight_sum += w;
+    cost_sum += c;
+  }
+  // The objective minus its constant n − 2·A1: (n − 2W)₊ + 2C.
+  const int64_t constant = n - 2 * minority;
+  if (free >= half) return FromObjective(constant, n);
+  if (2 * (free + weight_sum) <= n) {
+    // (n − 2W)₊ never clamps, so every item lowers the objective by
+    // 2(w − c): send them all.
+    return FromObjective(constant + n - 2 * (free + weight_sum) + 2 * cost_sum,
+                         n);
+  }
+
+  // Cheapest items first: the upper bound below takes their best prefix,
+  // and the costs reached so far grow as slowly as they can.
+  std::sort(items.begin(), items.end(),
+            [](const Item& x, const Item& y) { return x.cost < y.cost; });
+  int64_t upper = n - 2 * free;
+  {
+    int64_t w = free, c = 0;
+    for (const Item& item : items) {
+      w += item.weight;
+      c += item.cost;
+      upper = std::min(upper, std::max<int64_t>(0, n - 2 * w) + 2 * c);
+      if (w >= half) break;
+    }
+  }
+  // An optimum costs at most upper / 2, so C beyond that, and any item
+  // costing more, can be left out.
+  const int32_t cmax =
+      static_cast<int32_t>(std::min<int64_t>(cost_sum, upper / 2));
   std::unique_ptr<int32_t[]> scratch =
-      std::make_unique_for_overwrite<int32_t[]>(2 * width);
+      std::make_unique_for_overwrite<int32_t[]>(2 * (size_t{1} + cmax));
   int32_t* g = scratch.get();
-  int32_t* next = g + width;
-  g[0] = 0;  // only the empty assignment (0, 0) so far
+  int32_t* next = g + cmax + 1;
+  // g is flat beyond top, the total cost of the items so far, so only
+  // [0, top] is stored and updated.
+  g[0] = static_cast<int32_t>(free);
   int32_t top = 0;
-  for (const Cell& c : cells) {
-    const int32_t new_top = std::min(half, top + c.indexed);
-    std::fill(g + top + 1, g + new_top + 1, kUnreached);
-    Step(g, next, c.indexed, c.other, new_top, half);
-    std::swap(g, next);
+  for (const Item& item : items) {
+    if (item.cost > cmax) break;
+    const int32_t new_top = std::min(cmax, top + item.cost);
+    std::fill(g + top + 1, g + new_top + 1, g[top]);
     top = new_top;
-    // Early exit: some assignment already zeroes both penalty terms. g[H]
-    // is meaningful only once the reach is H.
-    if (top == half && g[half] == half) return 0.0;
+    Step(g, next, item, top, half);
+    std::swap(g, next);
   }
-  // Every a <= top is reachable (all mass toward the indexed side reaches
-  // top), so g has no unreached entries here.
-  int32_t best = 2 * n32;
-  for (int32_t a = 0; a <= top; ++a) {
-    best = std::min(best, std::max(0, n32 - 2 * a) +
-                              std::max(0, n32 - 2 * g[a]));
+  const int32_t n32 = static_cast<int32_t>(n);
+  int32_t best = static_cast<int32_t>(upper);
+  for (int32_t c = 0; c <= top; ++c) {
+    best = std::min(best, std::max(0, n32 - 2 * g[c]) + 2 * c);
   }
-  return FromObjective(best, n);
+  return FromObjective(constant + best, n);
 }
 
 double ScoreFBruteForce(std::span<const FColumn> columns, int64_t n) {

@@ -59,8 +59,8 @@ double ComputeScore(ScoreKind kind, const ProbTable& joint_counts, int64_t n);
 /// The same scores from counts in ANY variable order given the child's
 /// ProbTable variable id (GenVarId). This is how candidates are scored from
 /// the MarginalStore's canonical sorted-order tables: one cached joint serves
-/// every (parents, child) arrangement of the same attribute set. I and R read
-/// the table in place; F reorders the (small) table to put the child last.
+/// every (parents, child) arrangement of the same attribute set. All three
+/// read the table in place, without a reorder copy.
 double ScoreIForChild(const ProbTable& joint_counts, int child_var, int64_t n);
 double ScoreRForChild(const ProbTable& joint_counts, int child_var, int64_t n);
 double ScoreFForChild(const ProbTable& joint_counts, int child_var, int64_t n);

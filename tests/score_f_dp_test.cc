@@ -1,9 +1,11 @@
-// Tests for core/score_f_dp: the F dynamic program against brute force
-// (bit-exact), paper examples, the ⌈n/2⌉ clamp, edge cases, early exit.
+// Tests for core/score_f_dp: the F knapsack against brute force and a plain
+// 2-D reference DP (bit-exact), paper examples, the ⌈n/2⌉ clamp, each branch
+// of the reduction, edge cases.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "common/random.h"
@@ -11,6 +13,33 @@
 
 namespace privbayes {
 namespace {
+
+// The plain 2-D DP over states (a, b), both clamped at H = ⌈n/2⌉, with
+// none of the reduction's shortcuts: best[a] is the largest b reachable with
+// a-coordinate exactly a (−1 if none), and each parent value sends its mass
+// to one side or the other.
+double ReferenceDp(const std::vector<FColumn>& cols, int64_t n) {
+  const int64_t half = (n + 1) / 2;
+  std::vector<int64_t> best(half + 1, -1);
+  best[0] = 0;
+  for (const FColumn& col : cols) {
+    std::vector<int64_t> next(half + 1, -1);
+    for (int64_t a = 0; a <= half; ++a) {
+      if (best[a] < 0) continue;
+      const int64_t to_a = std::min(half, a + col.first);
+      next[to_a] = std::max(next[to_a], best[a]);
+      next[a] = std::max(next[a], std::min(half, best[a] + col.second));
+    }
+    best.swap(next);
+  }
+  int64_t objective = 2 * n;
+  for (int64_t a = 0; a <= half; ++a) {
+    if (best[a] < 0) continue;
+    objective = std::min(objective, std::max<int64_t>(0, n - 2 * a) +
+                                        std::max<int64_t>(0, n - 2 * best[a]));
+  }
+  return -static_cast<double>(objective) / (2.0 * static_cast<double>(n));
+}
 
 TEST(ScoreFDp, PaperTable3Example) {
   // Table 3(a): n = 10; column counts (X=0, X=1): (6,1), (0,1), (0,1),
@@ -178,6 +207,95 @@ TEST(ScoreFDp, EarlyExitIgnoresScratchBeyondTheReach) {
   }
 }
 
+TEST(ScoreFDp, NoProfitableValue) {
+  // Every parent value is balanced, so no value lowers the objective and
+  // none is sent to X = 0: F = −(n + n − 2·A1) / 2n.
+  std::vector<FColumn> cols = {{2, 2}, {3, 3}, {0, 0}};
+  EXPECT_EQ(ScoreFFromColumns(cols, 10), ScoreFBruteForce(cols, 10));
+  EXPECT_EQ(ScoreFFromColumns(cols, 10), -0.5);
+}
+
+TEST(ScoreFDp, ClosedForm) {
+  // n = 21, A0 = 11, A1 = 10. The profitable values hold weight 4 + 2 + 1
+  // <= n/2, so (n − 2W)₊ never clamps and all of them go to X = 0:
+  // (21 − 14) + 2·1 + (21 − 20) = 10 → F = −10/42.
+  std::vector<FColumn> cols = {{4, 1}, {2, 0}, {1, 4}, {3, 5}, {1, 0}};
+  EXPECT_EQ(ScoreFFromColumns(cols, 21), ScoreFBruteForce(cols, 21));
+  EXPECT_EQ(ScoreFFromColumns(cols, 21), -10.0 / 42.0);
+  // The same with the minority on X = 0.
+  std::vector<FColumn> mirrored;
+  for (const FColumn& c : cols) mirrored.push_back({c.second, c.first});
+  EXPECT_EQ(ScoreFFromColumns(mirrored, 21), -10.0 / 42.0);
+}
+
+TEST(ScoreFDp, FreeMassReachesHalf) {
+  // Values with no count on the minority side hold ⌈n/2⌉ between them, so
+  // the first term vanishes at no cost: F = −(n − 2·A1) / 2n.
+  std::vector<FColumn> cols = {{3, 0}, {3, 0}, {1, 2}, {2, 1}};
+  EXPECT_EQ(ScoreFFromColumns(cols, 12), ScoreFBruteForce(cols, 12));
+  EXPECT_EQ(ScoreFFromColumns(cols, 12), -6.0 / 24.0);
+}
+
+TEST(ScoreFDp, CostCapDropsExpensiveValues) {
+  // n = 120, H = 60, A1 = 32, free weight 40. The greedy bound is 16
+  // ((120 − 110) + 2·3, taking (12, 1) and (3, 2)), so C <= 8 and (30, 25)
+  // is dropped: F = −(16 + 120 − 64) / 240.
+  std::vector<FColumn> cols = {{40, 0}, {12, 1}, {30, 25}, {3, 2}, {1, 1},
+                               {2, 3}};
+  EXPECT_EQ(ScoreFFromColumns(cols, 120), ScoreFBruteForce(cols, 120));
+  EXPECT_EQ(ScoreFFromColumns(cols, 120), -0.3);
+  EXPECT_EQ(ScoreFFromColumns(cols, 120), ReferenceDp(cols, 120));
+}
+
+TEST(ScoreFDp, OddNThroughTheKnapsack) {
+  // n = 15, H = 8, A1 = 5: W must reach 8, and (5, 1) + (3, 1) does it at
+  // cost 2.
+  std::vector<FColumn> cols = {{5, 1}, {3, 1}, {2, 1}, {0, 2}};
+  EXPECT_EQ(ScoreFFromColumns(cols, 15), ScoreFBruteForce(cols, 15));
+  Rng rng(6);
+  for (int trial = 0; trial < 200; ++trial) {
+    int64_t n = 0;
+    std::vector<FColumn> odd = RandomColumns(rng, &n);
+    if (n % 2 == 0) {
+      odd.push_back({1, 0});
+      ++n;
+    }
+    EXPECT_EQ(ScoreFFromColumns(odd, n), ScoreFBruteForce(odd, n))
+        << "trial " << trial;
+  }
+}
+
+TEST(ScoreFDp, CountBeyondNOnOneSide) {
+  // A count far beyond n on the majority side saturates W on its own; the
+  // minority side still holds at most n/2.
+  std::vector<FColumn> cols = {{int64_t{1} << 40, 2}, {3, 1}, {1, 2}};
+  EXPECT_EQ(ScoreFFromColumns(cols, 10), ScoreFBruteForce(cols, 10));
+  std::vector<FColumn> mirrored = {{2, int64_t{1} << 40}, {1, 3}, {2, 1}};
+  EXPECT_EQ(ScoreFFromColumns(mirrored, 10), ScoreFBruteForce(mirrored, 10));
+}
+
+TEST(ScoreFDp, MatchesReferenceDpOnNltcsShapedTables) {
+  // 128 parent values over n = 21,574 (NLTCS), cells skewed the way real
+  // 7-parent tables are: most small, a few holding much of the mass.
+  Rng rng(9);
+  const int64_t n = 21574;
+  for (int trial = 0; trial < 40; ++trial) {
+    std::vector<double> cumulative(256);
+    double total = 0;
+    for (double& c : cumulative) c = total += std::exp(4.0 * rng.Gaussian());
+    std::vector<FColumn> cols(128);
+    for (int64_t row = 0; row < n; ++row) {
+      const size_t cell = std::min<size_t>(
+          255, std::upper_bound(cumulative.begin(), cumulative.end(),
+                                rng.Uniform() * total) -
+                   cumulative.begin());
+      (cell % 2 == 0 ? cols[cell / 2].first : cols[cell / 2].second) += 1;
+    }
+    EXPECT_EQ(ScoreFFromColumns(cols, n), ReferenceDp(cols, n))
+        << "trial " << trial;
+  }
+}
+
 TEST(ScoreFDp, LargeInstanceRunsFast) {
   // 128 columns over n ≈ 25,000: the NLTCS k = 7 shape, exact.
   Rng rng(4);
@@ -201,6 +319,15 @@ TEST(ScoreFDp, InvalidInputs) {
                std::invalid_argument);
   EXPECT_THROW(ScoreFFromColumns(cols, int64_t{1} << 40),
                std::invalid_argument);
+  // Both sides of X hold more than n/2: no table of n rows does that.
+  EXPECT_THROW(ScoreFFromColumns(cols, 1), std::invalid_argument);
+  std::vector<FColumn> both_over = {{3, 4}, {3, 2}};
+  EXPECT_THROW(ScoreFFromColumns(both_over, 10), std::invalid_argument);
+  std::vector<FColumn> huge_both = {{int64_t{1} << 40, int64_t{1} << 40}};
+  EXPECT_THROW(ScoreFFromColumns(huge_both, 10), std::invalid_argument);
+  // Exactly n/2 on the smaller side is allowed.
+  std::vector<FColumn> at_half = {{5, 5}, {1, 0}};
+  EXPECT_EQ(ScoreFFromColumns(at_half, 10), ScoreFBruteForce(at_half, 10));
   std::vector<FColumn> too_many(30, {1, 1});
   EXPECT_THROW(ScoreFBruteForce(too_many, 60), std::invalid_argument);
 }

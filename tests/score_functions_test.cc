@@ -123,6 +123,34 @@ TEST(ScoreF, PerfectCorrelationIsZero) {
   EXPECT_NEAR(ScoreF(counts, 100), 0.0, 1e-12);
 }
 
+TEST(ScoreF, ForChildReadsTheTableInPlace) {
+  // The child at the first, a middle and the last position, parents of
+  // cardinality 2–4: the in-place read equals ScoreF on the reordered table.
+  Rng rng(12);
+  for (int child_pos = 0; child_pos < 3; ++child_pos) {
+    for (int trial = 0; trial < 10; ++trial) {
+      std::vector<int> vars = {GenVarId(0), GenVarId(1), GenVarId(2)};
+      std::vector<int> cards(3);
+      for (int& c : cards) c = 2 + static_cast<int>(rng.UniformInt(3));
+      cards[child_pos] = 2;
+      ProbTable counts(vars, cards);
+      int64_t n = 0;
+      for (size_t i = 0; i < counts.size(); ++i) {
+        counts[i] = static_cast<double>(rng.UniformInt(40));
+        n += static_cast<int64_t>(counts[i]);
+      }
+      std::vector<int> order;
+      for (int v : vars) {
+        if (v != vars[child_pos]) order.push_back(v);
+      }
+      order.push_back(vars[child_pos]);
+      EXPECT_EQ(ScoreFForChild(counts, vars[child_pos], n),
+                ScoreF(counts.Reorder(order), n))
+          << "child at " << child_pos << ", trial " << trial;
+    }
+  }
+}
+
 TEST(ComputeScore, DispatchConsistent) {
   ProbTable counts({GenVarId(0), GenVarId(1)}, {2, 2});
   counts.values() = {30, 10, 5, 55};
@@ -233,6 +261,88 @@ TEST(EmpiricalSensitivityF, EverySubstitutionEveryFamily) {
   }
   // Some substitution reaches the bound: the check is not vacuous.
   EXPECT_NEAR(max_delta, 1.0, 1e-9);
+}
+
+// Every single-tuple substitution of small datasets (d attributes of
+// cardinality `card`), every family: |Δscore| must stay within
+// ScoreSensitivity. Returns the largest |Δscore| / bound seen.
+double MaxSubstitutionDeltaOverBound(ScoreKind kind, int card, uint64_t seed) {
+  Rng rng(seed);
+  const bool binary = card == 2;
+  double max_ratio = 0;
+  for (int trial = 0; trial < 8; ++trial) {
+    const int d = 3;
+    const int n = 2 + static_cast<int>(rng.UniformInt(9));
+    std::vector<Attribute> attrs;
+    for (int a = 0; a < d; ++a) {
+      attrs.push_back(Attribute::Categorical("a" + std::to_string(a), card));
+    }
+    Dataset data{Schema(attrs)};
+    for (int i = 0; i < n; ++i) {
+      std::vector<Value> row(d);
+      for (Value& v : row) v = static_cast<Value>(rng.UniformInt(card));
+      data.AppendRow(row);
+    }
+    std::vector<std::vector<GenAttr>> families;
+    std::vector<int> children;
+    for (int child = 0; child < d; ++child) {
+      for (int mask = 0; mask < (1 << d); ++mask) {
+        if (mask & (1 << child)) continue;
+        std::vector<GenAttr> family;
+        for (int a = 0; a < d; ++a) {
+          if (mask & (1 << a)) family.push_back(GenAttr{a, 0});
+        }
+        family.push_back(GenAttr{child, 0});
+        families.push_back(family);
+        children.push_back(child);
+      }
+    }
+    auto scores = [&](const Dataset& ds) {
+      std::vector<double> out;
+      for (size_t f = 0; f < families.size(); ++f) {
+        out.push_back(ComputeScoreForChild(
+            kind, ds.JointCountsGeneralized(families[f]),
+            GenVarId(children[f]), n));
+      }
+      return out;
+    };
+    const double bound = ScoreSensitivity(kind, n, binary);
+    const std::vector<double> base = scores(data);
+    int tuples = 1;
+    for (int a = 0; a < d; ++a) tuples *= card;
+    for (int i = 0; i < n; ++i) {
+      for (int tuple = 0; tuple < tuples; ++tuple) {
+        Dataset neighbour = data;
+        for (int a = 0, t = tuple; a < d; ++a, t /= card) {
+          neighbour.Set(i, a, static_cast<Value>(t % card));
+        }
+        const std::vector<double> moved = scores(neighbour);
+        for (size_t f = 0; f < families.size(); ++f) {
+          const double delta = std::abs(moved[f] - base[f]);
+          max_ratio = std::max(max_ratio, delta / bound);
+          EXPECT_LE(delta, bound + 1e-12)
+              << ScoreName(kind) << " trial " << trial << " row " << i
+              << " tuple " << tuple << " family " << f;
+        }
+      }
+    }
+  }
+  return max_ratio;
+}
+
+// Lemma 4.1 (binary and general bounds) and Thm 5.3, checked exhaustively;
+// some substitution must reach half the bound, so the check is not vacuous.
+TEST(EmpiricalSensitivityIR, IBinaryEverySubstitutionEveryFamily) {
+  EXPECT_GE(MaxSubstitutionDeltaOverBound(ScoreKind::kI, 2, 78), 0.5);
+}
+
+TEST(EmpiricalSensitivityIR, IGeneralEverySubstitutionEveryFamily) {
+  EXPECT_GE(MaxSubstitutionDeltaOverBound(ScoreKind::kI, 3, 79), 0.5);
+}
+
+TEST(EmpiricalSensitivityIR, REverySubstitutionEveryFamily) {
+  EXPECT_GE(MaxSubstitutionDeltaOverBound(ScoreKind::kR, 2, 80), 0.5);
+  EXPECT_GE(MaxSubstitutionDeltaOverBound(ScoreKind::kR, 3, 81), 0.5);
 }
 
 }  // namespace
